@@ -3,8 +3,9 @@
 Subcommands: factor, build, enumerate, check, distance, crossval.
 Polynomials are passed as comma-separated ascending coefficients in ring
 element text form (``3,1,2,1`` is x^3+2x^2+x+3).  Exit codes: 0 success or
-affirmative verdict, 1 negative verdict, 2 usage or validation error,
-3 enumeration cap exceeded.
+affirmative verdict, 1 negative verdict, 2 usage or validation error
+(a file that cannot be read or written included), 3 enumeration cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .poly import Poly, factor_xn_minus_1_f2, factor_xn_minus_1_z4
 _USAGE_ERRORS = (
     InvalidGenerators, UnsupportedLength, WrongForm, TrivialCode,
     LengthMismatch, BadAlphabet, OddLength, NotAFactor,
-    NonUnitLeadingCoefficient, ZeroPolynomial, ValueError,
+    NonUnitLeadingCoefficient, ZeroPolynomial, ValueError, OSError,
 )
 
 CHECK_PROPERTIES = ("reversible", "rc", "dna", "thm31", "thm32", "thm41", "thm42")
@@ -123,22 +124,8 @@ def cmd_check(args) -> int:
 def cmd_distance(args) -> int:
     if args.codebook:
         words = dna.read_codebook(args.codebook)
-        if args.metric == "dna":
-            print(dna.min_letterwise_distance(words))
-            return 0
-        ring_words = [dna.decode(w) for w in words]
-        if len(ring_words) < 2:
-            raise TrivialCode("need at least two words")
-        best = None
-        for i, x in enumerate(ring_words):
-            for y in ring_words[i + 1:]:
-                if len(x) != len(y):
-                    raise LengthMismatch("words must share one length")
-                diff = [cx - cy for cx, cy in zip(x, y)]
-                d = (sum(1 for c in diff if c) if args.metric == "hamming"
-                     else sum(c.lee_weight() for c in diff))
-                best = d if best is None or d < best else best
-        print(best)
+        print(dna.min_letterwise_distance(words) if args.metric == "dna"
+              else dna.min_ring_distance(words, args.metric))
         return 0
     code = enumerate_code(_gens_from_args(args), args.cap)
     if args.metric == "hamming":

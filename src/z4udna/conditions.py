@@ -31,9 +31,7 @@ from .cyclic import (
     GeneratorSet,
     enumerate_code,
     validate,
-    word_to_row,
 )
-from . import _dense
 from .errors import CapExceeded, InvalidGenerators, WrongForm
 from .poly import (
     Poly,
@@ -165,17 +163,13 @@ def check_reversible_double(gens: GeneratorSet) -> ConditionReport:
                            tuple(failures), tuple(notes))
 
 
-def _all_threes_row(n: int):
-    return word_to_row(tuple(RingElem(3, 3) for _ in range(n)))
-
-
 def _with_membership(report: ConditionReport, theorem: str,
                      gens: GeneratorSet, cap: int,
                      code: Optional[Code]) -> ConditionReport:
     if code is None:
         code = enumerate_code(gens, cap)
     failures = list(report.failures)
-    if not _dense.contains(code.rows(), _all_threes_row(gens.n)):
+    if (RingElem(3, 3),) * gens.n not in code:
         failures.append("membership: the all-(3+3u) word is not in the code")
     return ConditionReport(theorem, not failures, report.i_shift, report.j_shift,
                            report.branch, tuple(failures), report.notes)

@@ -17,16 +17,18 @@ import numpy as np
 from . import _dense
 from .errors import InvalidGenerators, TrivialCode, LengthMismatch
 from .poly import Poly, divides, poly_divmod, poly_mod_xn, xn_minus_1
-from .ring import LEE_Z4, RingElem, U
+from .ring import ALL_ELEMENTS, LEE_Z4, RingElem, U
 
 DEFAULT_CAP = 1 << 20
 
 CodeWord = tuple[RingElem, ...]
 
-# Per-element render tables keyed by (a, b).
-_STR16 = {(a, b): str(RingElem(a, b)) for a in range(4) for b in range(4)}
-_GRAY16 = {(a, b): RingElem(a, b).gray_str() for a in range(4) for b in range(4)}
-_CODON16 = {(a, b): RingElem(a, b).codon() for a in range(4) for b in range(4)}
+# Text of each symbol in each export format, indexed by 4a + b.
+_SYMBOL_TEXT = {
+    "ring": tuple(str(x) for x in ALL_ELEMENTS),
+    "dna": tuple(x.codon() for x in ALL_ELEMENTS),
+    "gray": tuple(x.gray_str() for x in ALL_ELEMENTS),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,7 @@ class Code:
         return self._rows.shape[0]
 
     def __contains__(self, w: CodeWord) -> bool:
-        return _dense.contains(self._rows, word_to_row(w))
+        return len(w) == self.n and _dense.contains(self._rows, word_to_row(w))
 
     def words(self) -> Iterator[CodeWord]:
         """Words in canonical order."""
@@ -221,21 +223,20 @@ class Code:
 
     # -- derived views ----------------------------------------------------------
 
+    def _render(self, fmt: str) -> list[str]:
+        """Each word in export format ``fmt``, in canonical word order."""
+        text = _SYMBOL_TEXT[fmt]
+        sep = "," if fmt == "ring" else ""
+        symbols = 4 * self._rows[:, 0::2] + self._rows[:, 1::2]
+        return [sep.join([text[k] for k in word]) for word in symbols.tolist()]
+
     def dna_words(self) -> list[str]:
         """Nucleotide strings of length 2n, in canonical word order."""
-        out = []
-        for row in self._rows:
-            out.append("".join(_CODON16[(row[2 * k], row[2 * k + 1])]
-                               for k in range(self.n)))
-        return out
+        return self._render("dna")
 
     def gray_words(self) -> list[str]:
         """Binary strings of length 4n, in canonical word order."""
-        out = []
-        for row in self._rows:
-            out.append("".join(_GRAY16[(row[2 * k], row[2 * k + 1])]
-                               for k in range(self.n)))
-        return out
+        return self._render("gray")
 
     def gray_image(self) -> set[str]:
         return set(self.gray_words())
@@ -264,7 +265,8 @@ def enumerate_code(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> Code:
     code = Code(n, rows, gens)
     # spanning all n shifts of each generator makes the result an ideal;
     # fail loudly if that ever stops being true
-    assert code.is_shift_closed()
+    if not code.is_shift_closed():
+        raise RuntimeError("span closure returned a set that is not shift-closed")
     return code
 
 
@@ -300,12 +302,5 @@ def render_code_export(code: Code, fmt: str = "ring") -> str:
     else:
         gen_text = "-"
     lines = [f"n={code.n}", f"size={len(code)}", f"generators={gen_text}"]
-    if fmt == "ring":
-        for row in code.rows():
-            lines.append(",".join(_STR16[(row[2 * k], row[2 * k + 1])]
-                                  for k in range(code.n)))
-    elif fmt == "dna":
-        lines.extend(code.dna_words())
-    else:
-        lines.extend(code.gray_words())
+    lines.extend(code._render(fmt))
     return "\n".join(lines) + "\n"

@@ -10,10 +10,11 @@ through the codon table.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from operator import getitem, ne
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadAlphabet, LengthMismatch, OddLength
-from .ring import RingElem, theta_inv
+from .ring import ALL_ELEMENTS, RingElem, theta_inv
 
 _WCC = str.maketrans("ACGT", "TGCA")
 _LETTERS = frozenset("ACGT")
@@ -61,21 +62,7 @@ def gc_content(d: DnaWord) -> int:
 def hamming(x: DnaWord, y: DnaWord) -> int:
     if len(x) != len(y):
         raise LengthMismatch("words must share one length")
-    return sum(1 for cx, cy in zip(x, y) if cx != cy)
-
-
-def min_letterwise_distance(codebook: Iterable[DnaWord]) -> int:
-    """Minimum pairwise letterwise Hamming distance over distinct words."""
-    words = _as_book(codebook)
-    if len(words) < 2:
-        raise LengthMismatch("need at least two words")
-    best = len(words[0])
-    for i, x in enumerate(words):
-        for y in words[i + 1:]:
-            dist = hamming(x, y)
-            if dist < best:
-                best = dist
-    return best
+    return sum(map(ne, x, y))
 
 
 def _as_book(codebook: Iterable[DnaWord]) -> list[DnaWord]:
@@ -90,39 +77,86 @@ def _as_book(codebook: Iterable[DnaWord]) -> list[DnaWord]:
     return words
 
 
+# ---------------------------------------------------------------------------
+# Pairwise scan: every codebook distance and constraint goes through here.
+# ---------------------------------------------------------------------------
+
+def _same(w):
+    return w
+
+
+def _pair_min(words: Sequence, distance: Callable, image: Callable = _same,
+              floor: int = 0) -> int | None:
+    """Least ``distance(image(x), y)`` over the words x, y of a book of
+    distinct words, skipping every pair with image(x) == y; None when all
+    pairs are skipped.  Returns the first value found below ``floor``.
+
+    ``image`` is the identity, codon reversal or reverse-complement, an
+    involution that preserves ``distance``, so (x, y) scores what (y, x)
+    scores and the unordered pairs, each word with itself included, cover
+    every ordered pair.
+    """
+    best = None
+    for i, x in enumerate(words):
+        ix = image(x)
+        for y in words[i:]:
+            if ix != y:
+                dist = distance(ix, y)
+                if best is None or dist < best:
+                    if dist < floor:
+                        return dist
+                    best = dist
+    return best
+
+
+def _min_distance(words: Sequence, distance: Callable) -> int:
+    if len(words) < 2:
+        raise LengthMismatch("need at least two words")
+    return _pair_min(words, distance)
+
+
+def _holds(codebook: Iterable[DnaWord], d: int, image: Callable) -> bool:
+    best = _pair_min(_as_book(codebook), hamming, image, d)
+    return best is None or best >= d
+
+
+# Symbol distance tables indexed [4a + b][4c + d] by the two ring elements.
+_RING_METRICS = {
+    "hamming": tuple(tuple(int(x != y) for y in ALL_ELEMENTS) for x in ALL_ELEMENTS),
+    "lee": tuple(tuple((x - y).lee_weight() for y in ALL_ELEMENTS) for x in ALL_ELEMENTS),
+}
+
+
+def min_letterwise_distance(codebook: Iterable[DnaWord]) -> int:
+    """Minimum pairwise letterwise Hamming distance over distinct words."""
+    return _min_distance(_as_book(codebook), hamming)
+
+
+def min_ring_distance(codebook: Iterable[DnaWord], metric: str) -> int:
+    """Minimum pairwise ring ``hamming`` or ``lee`` distance over distinct
+    words, each read as the ring word it encodes (so of even length)."""
+    if metric not in _RING_METRICS:
+        raise ValueError(f"unknown ring metric {metric!r}")
+    rows = _RING_METRICS[metric].__getitem__
+    words = [tuple(4 * c.a + c.b for c in decode(w)) for w in _as_book(codebook)]
+    return _min_distance(words, lambda x, y: sum(map(getitem, map(rows, x), y)))
+
+
 def check_hamming_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
     """All distinct pairs at letterwise distance >= d."""
-    words = _as_book(codebook)
-    return all(hamming(x, y) >= d
-               for i, x in enumerate(words) for y in words[i + 1:])
+    return _holds(codebook, d, _same)
 
 
 def check_reverse_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
     """H(reverse(x), y) >= d over ordered pairs, skipping the coincidence
     reverse(x) == y (so palindromes do not fail against themselves)."""
-    words = _as_book(codebook)
-    for x in words:
-        rx = reverse_word(x)
-        for y in words:
-            if rx == y:
-                continue
-            if hamming(rx, y) < d:
-                return False
-    return True
+    return _holds(codebook, d, reverse_word)
 
 
 def check_rc_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
     """Same as the reverse constraint with reverse-complement in place of
     reverse."""
-    words = _as_book(codebook)
-    for x in words:
-        rcx = reverse_complement_word(x)
-        for y in words:
-            if rcx == y:
-                continue
-            if hamming(rcx, y) < d:
-                return False
-    return True
+    return _holds(codebook, d, reverse_complement_word)
 
 
 def check_gc_constraint(codebook: Iterable[DnaWord]) -> bool:

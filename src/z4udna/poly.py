@@ -140,14 +140,6 @@ def xn_minus_1(n: int) -> Poly:
     return Poly([-1] + [0] * (n - 1) + [1])
 
 
-def poly_add(f: Poly, g: Poly) -> Poly:
-    return f + g
-
-
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
 def poly_mod_xn(f: Poly, n: int) -> Poly:
     """Canonical degree < n representative, folding x^k onto x^(k mod n)."""
     if n < 1:
@@ -276,9 +268,6 @@ class BinPoly:
 
     def __repr__(self):
         return f"BinPoly({str(self)!r})"
-
-    def to_ring_poly(self) -> Poly:
-        return Poly(self.coeffs)
 
 
 def _f2_deg(a: int) -> int:

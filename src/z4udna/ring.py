@@ -171,18 +171,6 @@ ALL_ELEMENTS = tuple(RingElem(a, b) for a in range(4) for b in range(4))
 UNITS = tuple(x for x in ALL_ELEMENTS if x.is_unit())
 
 
-def add(x: RingElem, y: RingElem) -> RingElem:
-    return x + y
-
-
-def mul(x: RingElem, y: RingElem) -> RingElem:
-    return x * y
-
-
-def is_unit(x: RingElem) -> bool:
-    return x.is_unit()
-
-
 def complement(x: RingElem) -> RingElem:
     return x.complement()
 

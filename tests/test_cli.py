@@ -120,6 +120,28 @@ def test_distance_codebook(tmp_path, capsys):
     code, out, _ = run(capsys, "distance", "--n", "2", "--codebook", str(book),
                        "--metric", "lee")
     assert code == 0 and out == "3\n"  # (0, 1+u) vs zero: wL(3+3u) = 3
+    # every metric counts distinct words, so a repeated word is not at distance 0
+    book.write_text("AAAA\nAAAA\nAATT\n")
+    for metric, expected in (("dna", "2\n"), ("hamming", "1\n"), ("lee", "3\n")):
+        code, out, _ = run(capsys, "distance", "--n", "2", "--codebook", str(book),
+                           "--metric", metric)
+        assert (code, out) == (0, expected)
+    book.write_text("AAAA\nAAAA\n")
+    for metric in ("dna", "hamming", "lee"):
+        code, _, err = run(capsys, "distance", "--n", "2", "--codebook", str(book),
+                           "--metric", metric)
+        assert code == 2 and "two words" in err
+
+
+def test_file_errors_are_usage_errors(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "distance", "--n", "2", "--codebook", str(missing))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    base = ("build", "--n", "3", "--f1", "1,1,1", "--f2", "1,1,1")
+    nowhere = str(tmp_path / "no-such-dir" / "out.txt")
+    for flag in ("--out", "--codebook-out"):
+        code, _, err = run(capsys, *base, flag, nowhere)
+        assert code == 2 and err.startswith("error: ")
 
 
 def test_crossval_deterministic(capsys):

@@ -115,6 +115,16 @@ def test_enumerate_cap():
         enumerate_code(GeneratorSet(3, Poly.parse("1"), Poly.parse("1")), cap=100)
 
 
+def test_enumerate_rejects_a_set_that_is_not_shift_closed(monkeypatch):
+    def not_closed(vectors, cap):
+        return _dense.canonical(np.stack([word_to_row(words_of([0, 0, 0])),
+                                          word_to_row(words_of([1, 0, 0]))]))
+
+    monkeypatch.setattr(_dense, "span_closure", not_closed)
+    with pytest.raises(RuntimeError, match="not shift-closed"):
+        enumerate_code(EX_61I)
+
+
 def test_enumerated_codes_are_closed():
     rng = random.Random(12)
     factors = factor_xn_minus_1_z4(3)
@@ -259,6 +269,9 @@ def test_membership_and_word_round_trip():
     for w in code.words():
         assert w in code
     assert words_of([1, 0, 0]) not in code
+    # a zero word of another length is not a word of the n=3 code
+    assert words_of([0]) not in code
+    assert words_of([0, 0, 0, 0]) not in code
     row = word_to_row(words_of([(2, 3), (0, 1), (3, 0)]))
     from z4udna.cyclic import row_to_word
     assert row_to_word(row) == words_of([(2, 3), (0, 1), (3, 0)])

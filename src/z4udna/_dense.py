@@ -17,15 +17,6 @@ from .errors import CapExceeded
 _PACK_LIMIT = 32  # max row width (digits) for the single-key fast path
 
 
-def row_from_pairs(pairs, n: int) -> np.ndarray:
-    """Row for a word given as ((a, b), ...) padded/truncated to n symbols."""
-    row = np.zeros(2 * n, dtype=np.uint8)
-    for k, (a, b) in enumerate(pairs):
-        row[2 * k] = a % 4
-        row[2 * k + 1] = b % 4
-    return row
-
-
 def _pack(rows: np.ndarray) -> np.ndarray:
     width = rows.shape[1]
     keys = np.zeros(rows.shape[0], dtype=np.uint64)

@@ -141,6 +141,8 @@ def cmd_crossval(args) -> int:
     if args.samples is None and args.n > 5:
         raise UnsupportedLength(
             f"exhaustive sweep is limited to n <= 5; pass --samples for n={args.n}")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     reports = conditions.sweep(args.n, max_f14_degree=2, seed=args.seed,
                                samples=args.samples, cap=args.cap)
     _emit(conditions.format_sweep_report(reports), args.out)

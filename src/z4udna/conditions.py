@@ -94,8 +94,8 @@ def _check_b1(gens: GeneratorSet, failures: list[str], notes: list[str]) -> int:
     rhs = poly_mod_xn(gens.f2, gens.n)
     if lhs != rhs:
         failures.append("(b)(i) x^i*f2* != f2")
-        for m in UNITS:
-            if m != RingElem(1) and rhs * m == lhs:
+        for m in UNITS[1:]:  # UNITS[0] is 1
+            if rhs * m == lhs:
                 notes.append(f"(b)(i) holds up to the unit factor m={m}")
                 break
     return i
@@ -169,7 +169,7 @@ def _with_membership(report: ConditionReport, theorem: str,
     if code is None:
         code = enumerate_code(gens, cap)
     failures = list(report.failures)
-    if (RingElem(3, 3),) * gens.n not in code:
+    if (ALL_ELEMENTS[15],) * gens.n not in code:  # 3+3u
         failures.append("membership: the all-(3+3u) word is not in the code")
     return ConditionReport(theorem, not failures, report.i_shift, report.j_shift,
                            report.branch, tuple(failures), report.notes)

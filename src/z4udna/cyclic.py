@@ -21,6 +21,8 @@ from .ring import ALL_ELEMENTS, LEE_Z4, RingElem, U
 
 DEFAULT_CAP = 1 << 20
 
+_TWO_U = RingElem(0, 2)
+
 CodeWord = tuple[RingElem, ...]
 
 # Text of each symbol in each export format, indexed by 4a + b.
@@ -53,12 +55,11 @@ def reverse_complement(w: CodeWord) -> CodeWord:
 
 
 def word_from_poly(f: Poly, n: int) -> CodeWord:
-    coeffs = poly_mod_xn(f, n).coeffs
-    return tuple(coeffs) + (RingElem(0),) * (n - len(coeffs))
+    return tuple(ALL_ELEMENTS[k] for k in poly_mod_xn(f, n).symbols.ljust(n, b"\0"))
 
 
 def word_to_row(w: CodeWord) -> np.ndarray:
-    return _dense.row_from_pairs(((c.a, c.b) for c in w), len(w))
+    return np.array([(c.a, c.b) for c in w], dtype=np.uint8).reshape(-1)
 
 
 def row_to_word(row: np.ndarray) -> CodeWord:
@@ -125,12 +126,10 @@ def generator_polys(gens: GeneratorSet) -> tuple[Poly, Optional[Poly]]:
     problems = validate(gens)
     if problems:
         raise InvalidGenerators("; ".join(problems))
-    two = RingElem(2)
-    two_u = RingElem(0, 2)
-    g_a = poly_mod_xn(gens.f1 + gens.f2 * two + gens.f14 * two_u, gens.n)
+    g_a = poly_mod_xn(gens.f1 + gens.f2 * 2 + gens.f14 * _TWO_U, gens.n)
     g_b = None
     if gens.f3 is not None:
-        g_b = poly_mod_xn(gens.f3 * U + gens.f4 * two_u, gens.n)
+        g_b = poly_mod_xn(gens.f3 * U + gens.f4 * _TWO_U, gens.n)
     return g_a, g_b
 
 

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedLength,
     ZeroPolynomial,
 )
-from .ring import ALL_ELEMENTS, RingElem, ZERO
+from .ring import ADD, ALL_ELEMENTS, MUL, NEG, SCALE, RingElem
 
 #: Largest supported code length for the factorization routines.
 LENGTH_CAP = 63
@@ -33,16 +33,34 @@ LENGTH_CAP = 63
 Coeff = Union[RingElem, int]
 
 
-class Poly:
-    """Polynomial over Z4 + u*Z4 in canonical ascending-coefficient form."""
+def _index(c: Coeff) -> int:
+    """Symbol index 4a + b of a coefficient; an int c means c + 0u."""
+    return 4 * c.a + c.b if isinstance(c, RingElem) else c % 4 * 4
 
-    __slots__ = ("coeffs",)
+
+def _add(x, y) -> bytes:
+    """Symbolwise sum of two index strings, as long as the longer one."""
+    if len(x) < len(y):
+        x, y = y, x
+    return bytes([ADD[i << 4 | j] for i, j in zip(x, y)]) + x[len(y):]
+
+
+def _poly(symbols) -> "Poly":
+    """The polynomial with these symbol indices, trailing zeros dropped."""
+    p = Poly.__new__(Poly)
+    p.symbols = bytes(symbols).rstrip(b"\0")
+    return p
+
+
+class Poly:
+    """Polynomial over Z4 + u*Z4 in canonical ascending-coefficient form:
+    ``symbols`` holds the index 4a + b of each coefficient a + u*b (its
+    position in ``ALL_ELEMENTS``), lowest degree first, no trailing zeros."""
+
+    __slots__ = ("symbols",)
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        items = [c if isinstance(c, RingElem) else RingElem(c) for c in coeffs]
-        while items and not items[-1]:
-            items.pop()
-        self.coeffs: tuple[RingElem, ...] = tuple(items)
+        self.symbols = bytes(map(_index, coeffs)).rstrip(b"\0")
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
@@ -57,32 +75,30 @@ class Poly:
         return cls(RingElem.parse(tok) for tok in text.split(","))
 
     @property
+    def coeffs(self) -> tuple[RingElem, ...]:
+        return tuple(map(ALL_ELEMENTS.__getitem__, self.symbols))
+
+    @property
     def degree(self):
         """Degree as an int, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.symbols) - 1 if self.symbols else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.symbols
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == RingElem(1)
+        return self.symbols[-1:] == b"\4"
 
     def lc(self) -> RingElem:
-        if not self.coeffs:
+        if not self.symbols:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return ALL_ELEMENTS[self.symbols[-1]]
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return _poly(_add(self.symbols, other.symbols))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -90,43 +106,40 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _poly(self.symbols.translate(NEG))
 
     def __mul__(self, other):
         if isinstance(other, (RingElem, int)):
-            return Poly(c * other for c in self.coeffs)
+            return _poly(self.symbols.translate(SCALE[_index(other)]))
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        x, y = self.symbols, other.symbols
+        if not x or not y:
             return Poly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return Poly(out)
+        out = bytearray(len(x) + len(y) - 1)
+        for i, c in enumerate(x):
+            if c:
+                out[i:i + len(y)] = _add(out[i:i + len(y)], y.translate(SCALE[c]))
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k >= 0)."""
-        if self.is_zero:
-            return self
-        return Poly([ZERO] * k + list(self.coeffs))
+        if k < 0:
+            raise ValueError(f"shift needs k >= 0, got {k}")
+        return _poly(bytes(k) + self.symbols) if self.symbols else self
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.symbols == other.symbols
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.symbols)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(map(str, self.coeffs)) or "0"
 
     def __repr__(self):
         return f"Poly({str(self)!r})"
@@ -144,10 +157,11 @@ def poly_mod_xn(f: Poly, n: int) -> Poly:
     """Canonical degree < n representative, folding x^k onto x^(k mod n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = [ZERO] * n
-    for k, c in enumerate(f.coeffs):
-        out[k % n] = out[k % n] + c
-    return Poly(out)
+    s = f.symbols
+    out = s[:n]
+    for k in range(n, len(s), n):
+        out = _add(out, s[k:k + n])
+    return _poly(out)
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -159,25 +173,22 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise NonUnitLeadingCoefficient("cannot divide by the zero polynomial")
     lead = g.lc()
     if not lead.is_unit():
-        raise NonUnitLeadingCoefficient(
-            f"leading coefficient {lead} of divisor is not a unit"
-        )
-    inv = lead.inverse()
+        raise NonUnitLeadingCoefficient(f"leading coefficient {lead} of divisor is not a unit")
+    row = 16 * g.symbols[-1]
+    inv = MUL.index(4, row, row + 16) - row  # lead * inv = 1, whose index is 4
     dg = g.degree
-    rem = list(f.coeffs)
+    rem = bytearray(f.symbols)
     qlen = len(rem) - dg
     if qlen <= 0:
         return Poly(), f
-    q = [ZERO] * qlen
+    minus_g = g.symbols.translate(NEG)
+    q = bytearray(qlen)
     for k in range(qlen - 1, -1, -1):
         top = rem[k + dg]
-        if not top:
-            continue
-        c = top * inv
-        q[k] = c
-        for i, gc in enumerate(g.coeffs):
-            rem[k + i] = rem[k + i] - c * gc
-    return Poly(q), Poly(rem[:dg])
+        if top:
+            q[k] = c = MUL[top << 4 | inv]
+            rem[k:k + dg + 1] = _add(rem[k:k + dg + 1], minus_g.translate(SCALE[c]))
+    return _poly(q), _poly(rem[:dg])
 
 
 def divides(g: Poly, f: Poly, n: int) -> bool:
@@ -202,7 +213,7 @@ def reciprocal(f: Poly) -> Poly:
     """
     if f.is_zero:
         raise ZeroPolynomial("reciprocal of the zero polynomial")
-    return Poly(reversed(f.coeffs))
+    return _poly(f.symbols[::-1])
 
 
 def self_reciprocal_constant(f: Poly):
@@ -249,9 +260,6 @@ class BinPoly:
         if not self.mask:
             return ()
         return tuple((self.mask >> k) & 1 for k in range(self.mask.bit_length()))
-
-    def __mul__(self, other: "BinPoly") -> "BinPoly":
-        return BinPoly.from_mask(_f2_mul(self.mask, other.mask))
 
     def __eq__(self, other):
         if not isinstance(other, BinPoly):

@@ -161,14 +161,21 @@ def _coerce(value) -> RingElem | None:
     return None
 
 
-ZERO = RingElem(0)
-ONE = RingElem(1)
 U = RingElem(0, 1)
 
 #: All 16 elements, ordered by (a, b).  This is the canonical element order
 #: used wherever a deterministic sweep of the ring is needed.
 ALL_ELEMENTS = tuple(RingElem(a, b) for a in range(4) for b in range(4))
 UNITS = tuple(x for x in ALL_ELEMENTS if x.is_unit())
+
+# Arithmetic on symbol indices: a + u*b is ALL_ELEMENTS[4a + b].  ADD and
+# MUL are indexed by 16x + y; SCALE[x] and NEG are 256-byte
+# ``bytes.translate`` tables for y -> x*y and y -> -y.
+ADD = bytes(((x >> 2) + (y >> 2)) % 4 * 4 + (x + y) % 4 for x in range(16) for y in range(16))
+MUL = bytes((x >> 2) * (y >> 2) % 4 * 4 + ((x >> 2) * y + (y >> 2) * x) % 4
+            for x in range(16) for y in range(16))
+SCALE = tuple(MUL[16 * x:16 * x + 16] * 16 for x in range(16))
+NEG = bytes(-(k >> 2) % 4 * 4 + -k % 4 for k in range(16)) * 16
 
 
 def complement(x: RingElem) -> RingElem:

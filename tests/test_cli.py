@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, formats and exit codes."""
 
+import pytest
+
 from z4udna.cli import main
 
 T3_WORDS = {
@@ -162,6 +164,12 @@ def test_crossval_rejects_even_n(capsys):
 def test_crossval_exhaustive_needs_small_n(capsys):
     code, _, err = run(capsys, "crossval", "--n", "7")
     assert code == 2 and "--samples" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_crossval_rejects_fewer_than_one_sample(capsys, samples):
+    code, out, err = run(capsys, "crossval", "--n", "7", "--samples", samples)
+    assert code == 2 and out == "" and "--samples" in err
 
 
 def test_crossval_exit_reflects_agreement(capsys):

@@ -1,0 +1,198 @@
+"""Integer-coded ``Poly`` arithmetic against a slow reference.
+
+The references work on coefficient lists of ``RingElem``s, lowest degree
+first, with the ring's own operators and nothing from ``z4udna.poly``.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from z4udna.conditions import (
+    check_rc_single,
+    check_reversible_double,
+    check_reversible_single,
+)
+from z4udna.cyclic import GeneratorSet, generator_polys, word_from_poly
+from z4udna.errors import NonUnitLeadingCoefficient, ZeroPolynomial
+from z4udna.poly import (
+    Poly,
+    divides,
+    factor_xn_minus_1_z4,
+    poly_divmod,
+    poly_mod_xn,
+    reciprocal,
+    self_reciprocal_constant,
+)
+from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS
+
+ZERO = RingElem(0)
+elems = st.sampled_from(ALL_ELEMENTS)
+coeff_lists = st.lists(elems, max_size=10)
+palindromes = st.lists(elems, max_size=5).map(lambda cs: cs + cs[::-1])
+unit_lc_lists = st.builds(lambda cs, lead: cs + [lead],
+                          st.lists(elems, max_size=5), st.sampled_from(UNITS))
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(f, g):
+    size = max(len(f), len(g))
+    f = list(f) + [ZERO] * (size - len(f))
+    g = list(g) + [ZERO] * (size - len(g))
+    return trim(x + y for x, y in zip(f, g))
+
+
+def ref_mul(f, g):
+    out = [ZERO] * (len(f) + len(g))
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = out[i + j] + x * y
+    return trim(out)
+
+
+def ref_mod(f, n):
+    out = [ZERO] * n
+    for k, c in enumerate(f):
+        out[k % n] = out[k % n] + c
+    return trim(out)
+
+
+def ref_divmod(f, g):
+    f, g = trim(f), trim(g)
+    if not g or not g[-1].is_unit():
+        raise NonUnitLeadingCoefficient("reference")
+    inv = g[-1].inverse()
+    rem = list(f)
+    q = [ZERO] * max(len(f) - len(g) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + len(g) - 1] * inv
+        q[k] = c
+        for i, y in enumerate(g):
+            rem[k + i] = rem[k + i] - c * y
+    return trim(q), trim(rem)
+
+
+def ref_divides(g, f, n):
+    fr, gr = ref_mod(f, n), ref_mod(g, n)
+    if not gr:
+        return not fr
+    return not ref_divmod(fr, gr)[1]
+
+
+def ref_reciprocal(f):
+    if not trim(f):
+        raise ZeroPolynomial("reference")
+    return trim(reversed(trim(f)))
+
+
+def ref_self_reciprocal_constant(f):
+    fr = ref_reciprocal(f)
+    return next((m for m in ALL_ELEMENTS if trim(m * c for c in f) == fr), None)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except (NonUnitLeadingCoefficient, ZeroPolynomial) as exc:
+        return type(exc)
+
+
+@given(st.lists(st.one_of(elems, st.integers(-20, 20)), max_size=10))
+def test_constructor_reads_ints_as_z4_constants(cs):
+    expect = trim(c if isinstance(c, RingElem) else RingElem(c) for c in cs)
+    assert Poly(cs).coeffs == expect
+    assert Poly(cs).symbols == bytes(4 * c.a + c.b for c in expect)
+    if expect:
+        assert Poly(cs).lc() == expect[-1]
+
+
+@given(coeff_lists, coeff_lists)
+def test_add_sub_neg(f, g):
+    assert (Poly(f) + Poly(g)).coeffs == ref_add(f, g)
+    assert (Poly(f) - Poly(g)).coeffs == ref_add(f, [-c for c in g])
+    assert (-Poly(f)).coeffs == trim(-c for c in f)
+
+
+@given(coeff_lists, coeff_lists, elems, st.integers(-9, 9))
+def test_mul_by_poly_element_and_int(f, g, m, i):
+    assert (Poly(f) * Poly(g)).coeffs == ref_mul(f, g)
+    assert (Poly(f) * m).coeffs == (m * Poly(f)).coeffs == trim(c * m for c in f)
+    assert (Poly(f) * i).coeffs == (i * Poly(f)).coeffs == trim(c * i for c in f)
+
+
+@given(coeff_lists, st.integers(0, 6))
+def test_shift(f, k):
+    assert Poly(f).shift(k).coeffs == trim([ZERO] * k + list(f))
+
+
+@given(coeff_lists, st.integers(1, 6))
+def test_mod_xn(f, n):
+    assert poly_mod_xn(Poly(f), n).coeffs == ref_mod(f, n)
+
+
+@given(coeff_lists, st.one_of(unit_lc_lists, coeff_lists))
+def test_divmod(f, g):
+    got = outcome(lambda: tuple(p.coeffs for p in poly_divmod(Poly(f), Poly(g))))
+    assert got == outcome(ref_divmod, f, g)
+
+
+@given(st.one_of(unit_lc_lists, coeff_lists), coeff_lists, st.integers(1, 6))
+def test_divides(g, f, n):
+    assert outcome(divides, Poly(g), Poly(f), n) == outcome(ref_divides, g, f, n)
+
+
+@given(st.one_of(coeff_lists, palindromes))
+def test_reciprocal_and_self_reciprocal_constant(f):
+    assert outcome(lambda: reciprocal(Poly(f)).coeffs) == outcome(ref_reciprocal, f)
+    assert (outcome(self_reciprocal_constant, Poly(f))
+            == outcome(ref_self_reciprocal_constant, f))
+
+
+def test_shift_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        Poly([1, 2]).shift(-1)
+    with pytest.raises(ValueError):
+        Poly().shift(-1)
+
+
+def lattice_tuples_63():
+    """A single- and a double-generator tuple from the n=63 divisor lattice."""
+    factors = factor_xn_minus_1_z4(63)
+
+    def product(indices):
+        p = Poly([1])
+        for i in indices:
+            p = p * factors[i]
+        return p
+
+    f1, f2 = product(range(6)), product(range(3))
+    f3, f4 = product(range(4, 10)), product(range(4, 7))
+    f14 = Poly.parse("1,u,2+3u")
+    return GeneratorSet(63, f1, f2, f14), GeneratorSet(63, f1, f2, f14, f3, f4)
+
+
+def test_symbolic_checks_create_no_ring_elements(monkeypatch):
+    single, double = lattice_tuples_63()
+    small = GeneratorSet(7, Poly.parse("1,1,1,1,1,1,1"), Poly.parse("1,1,1,1,1,1,1"))
+    created = []
+    original = RingElem.__init__
+
+    def counting_init(self, *args):
+        created.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(RingElem, "__init__", counting_init)
+    assert check_reversible_double(double).theorem == "T32"
+    assert check_reversible_single(single).theorem == "T31"
+    g_a, _ = generator_polys(double)
+    word_from_poly(g_a, 63)
+    assert check_rc_single(small).theorem == "T41"
+    assert created == []
+    RingElem(1)  # the counter does see a new element
+    assert created == [(1,)]

@@ -35,6 +35,7 @@ from .cyclic import (
 from .errors import CapExceeded, InvalidGenerators, WrongForm
 from .poly import (
     Poly,
+    constant_factor,
     divides,
     factor_xn_minus_1_z4,
     poly_mod_xn,
@@ -44,6 +45,9 @@ from .poly import (
 from .ring import ALL_ELEMENTS, RingElem, UNITS
 
 PROPERTIES = ("reversible", "rc_closed")
+
+# Symbol indices of the units other than 1, in canonical element order.
+_UNITS_BUT_ONE = bytes(4 * m.a + m.b for m in UNITS[1:])  # UNITS[0] is 1
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,9 @@ def _check_b1(gens: GeneratorSet, failures: list[str], notes: list[str]) -> int:
     rhs = poly_mod_xn(gens.f2, gens.n)
     if lhs != rhs:
         failures.append("(b)(i) x^i*f2* != f2")
-        for m in UNITS[1:]:  # UNITS[0] is 1
-            if rhs * m == lhs:
-                notes.append(f"(b)(i) holds up to the unit factor m={m}")
-                break
+        m = constant_factor(rhs, lhs, _UNITS_BUT_ONE)
+        if m is not None:
+            notes.append(f"(b)(i) holds up to the unit factor m={ALL_ELEMENTS[m]}")
     return i
 
 
@@ -244,14 +247,11 @@ F14_ALPHABET = (RingElem(0), RingElem(1), RingElem(2), RingElem(0, 1))
 def _divisor_lattice(n: int) -> list[tuple[int, Poly]]:
     """Monic divisors of x^n - 1 as (factor subset mask, product)."""
     factors = factor_xn_minus_1_z4(n)
-    out = []
-    for mask in range(1 << len(factors)):
-        prod = Poly([1])
-        for i, f in enumerate(factors):
-            if mask >> i & 1:
-                prod = prod * f
-        out.append((mask, prod))
-    return out
+    prods = [Poly([1])]
+    for mask in range(1, 1 << len(factors)):
+        low = mask & -mask  # one multiplication: the mask without its low bit
+        prods.append(prods[mask ^ low] * factors[low.bit_length() - 1])
+    return list(enumerate(prods))
 
 
 def _submasks(mask: int) -> list[int]:
@@ -281,8 +281,8 @@ def _exhaustive_instances(n: int, max_f14_degree: int):
                 yield GeneratorSet(n, f1, f2, f14, f3, f4)
 
 
-def _random_instance(n: int, max_f14_degree: int, lattice, rng: random.Random):
-    by_mask = dict(lattice)
+def _random_instance(n: int, max_f14_degree: int, lattice, by_mask,
+                     rng: random.Random):
     m1 = rng.randrange(len(lattice))
     f1_mask = lattice[m1][0]
     f2 = by_mask[rng.choice(_submasks(f1_mask))]
@@ -314,6 +314,7 @@ def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
                 reports.append(_crossval_with_code(gens, prop, code))
         return reports
     lattice = _divisor_lattice(n)
+    by_mask = dict(lattice)
     rng = random.Random(seed)
     collected = 0
     attempts = 0
@@ -322,7 +323,7 @@ def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
         if attempts > 200 * samples:
             raise CapExceeded(
                 f"collected only {collected} of {samples} instances under cap={cap}")
-        gens = _random_instance(n, max_f14_degree, lattice, rng)
+        gens = _random_instance(n, max_f14_degree, lattice, by_mask, rng)
         try:
             code = enumerate_code(gens, cap)
         except CapExceeded:

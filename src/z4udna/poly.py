@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedLength,
     ZeroPolynomial,
 )
-from .ring import ADD, ALL_ELEMENTS, MUL, NEG, SCALE, RingElem
+from .ring import ADD, ALL_ELEMENTS, INV, MUL, NEG, SCALE, RingElem, solve_unit
 
 #: Largest supported code length for the factorization routines.
 LENGTH_CAP = 63
@@ -146,11 +146,13 @@ class Poly:
 
 
 def x_pow(k: int) -> Poly:
-    return Poly([0] * k + [1])
+    """x^k for k >= 0."""
+    return _poly(bytes(k) + b"\4")
 
 
 def xn_minus_1(n: int) -> Poly:
-    return Poly([-1] + [0] * (n - 1) + [1])
+    """x^n - 1 for n >= 1; -1 is symbol 12 (3 + 0u)."""
+    return _poly(b"\x0c" + bytes(n - 1) + b"\4")
 
 
 def poly_mod_xn(f: Poly, n: int) -> Poly:
@@ -158,6 +160,8 @@ def poly_mod_xn(f: Poly, n: int) -> Poly:
     if n < 1:
         raise ValueError("n must be >= 1")
     s = f.symbols
+    if len(s) <= n:
+        return f  # already reduced; Poly is immutable, so no copy
     out = s[:n]
     for k in range(n, len(s), n):
         out = _add(out, s[k:k + n])
@@ -171,11 +175,9 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """
     if g.is_zero:
         raise NonUnitLeadingCoefficient("cannot divide by the zero polynomial")
-    lead = g.lc()
-    if not lead.is_unit():
-        raise NonUnitLeadingCoefficient(f"leading coefficient {lead} of divisor is not a unit")
-    row = 16 * g.symbols[-1]
-    inv = MUL.index(4, row, row + 16) - row  # lead * inv = 1, whose index is 4
+    inv = INV[g.symbols[-1]]
+    if not inv:
+        raise NonUnitLeadingCoefficient(f"leading coefficient {g.lc()} of divisor is not a unit")
     dg = g.degree
     rem = bytearray(f.symbols)
     qlen = len(rem) - dg
@@ -216,17 +218,32 @@ def reciprocal(f: Poly) -> Poly:
     return _poly(f.symbols[::-1])
 
 
-def self_reciprocal_constant(f: Poly):
-    """Some constant m with f* = m*f, or None if there is none.
+def constant_factor(f: Poly, g: Poly, among: bytes = bytes(range(16))):
+    """The first symbol index m in ``among`` with f*m == g, or None.
 
-    All 16 constants are tried in canonical element order, so the result
-    is deterministic; for a palindromic f it is 1.
+    When the leading coefficient of f is a unit, f*m keeps the degree of f
+    unless m = 0, so m*lc(f) = lc(g) (0 for g = 0) leaves one candidate,
+    checked with one scalar product; otherwise ``among`` is scanned in order.
     """
-    fr = reciprocal(f)
-    for m in ALL_ELEMENTS:
-        if f * m == fr:
+    s, t = f.symbols, g.symbols
+    m = solve_unit(s[-1], t[-1] if t else 0) if s else None
+    if m is not None:
+        among = (m,) if m in among else ()
+    for m in among:
+        if s.translate(SCALE[m]).rstrip(b"\0") == t:
             return m
     return None
+
+
+def self_reciprocal_constant(f: Poly):
+    """The first constant m in canonical element order with f* = m*f, or None.
+
+    For a unit leading coefficient a the only candidate is f(0) * a^-1
+    (f(0) is the coefficient of x^(deg f) in f*); only a non-unit one
+    needs the scan over all 16 constants.  A palindromic f gives 1.
+    """
+    m = constant_factor(f, reciprocal(f))
+    return None if m is None else ALL_ELEMENTS[m]
 
 
 # ---------------------------------------------------------------------------

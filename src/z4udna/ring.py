@@ -176,6 +176,15 @@ MUL = bytes((x >> 2) * (y >> 2) % 4 * 4 + ((x >> 2) * y + (y >> 2) * x) % 4
             for x in range(16) for y in range(16))
 SCALE = tuple(MUL[16 * x:16 * x + 16] * 16 for x in range(16))
 NEG = bytes(-(k >> 2) % 4 * 4 + -k % 4 for k in range(16)) * 16
+# INV[x] is the index of 1/x for a unit x (x & 4, an odd Z4 part) and 0 for
+# a non-unit; 0 is never an inverse, so it doubles as "no inverse".
+INV = bytes(MUL.index(4, 16 * x, 16 * x + 16) % 16 if x & 4 else 0 for x in range(16))
+
+
+def solve_unit(x: int, y: int) -> int | None:
+    """The symbol index m = y * x^-1 solving m*x = y, or None for a non-unit x."""
+    inv = INV[x]
+    return MUL[y << 4 | inv] if inv else None
 
 
 def complement(x: RingElem) -> RingElem:

@@ -16,14 +16,17 @@ from z4udna.cyclic import GeneratorSet, generator_polys, word_from_poly
 from z4udna.errors import NonUnitLeadingCoefficient, ZeroPolynomial
 from z4udna.poly import (
     Poly,
+    constant_factor,
     divides,
     factor_xn_minus_1_z4,
     poly_divmod,
     poly_mod_xn,
     reciprocal,
     self_reciprocal_constant,
+    x_pow,
+    xn_minus_1,
 )
-from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS
+from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS, solve_unit
 
 ZERO = RingElem(0)
 elems = st.sampled_from(ALL_ELEMENTS)
@@ -31,6 +34,14 @@ coeff_lists = st.lists(elems, max_size=10)
 palindromes = st.lists(elems, max_size=5).map(lambda cs: cs + cs[::-1])
 unit_lc_lists = st.builds(lambda cs, lead: cs + [lead],
                           st.lists(elems, max_size=5), st.sampled_from(UNITS))
+non_units = st.sampled_from([x for x in ALL_ELEMENTS if x and not x.is_unit()])
+non_unit_lc_lists = st.builds(lambda cs, lead: cs + [lead],
+                              st.lists(elems, max_size=5), non_units)
+# Leading zeros make f* drop degree, so f(0) = 0 gets its own strategy.
+zero_constant_lists = st.builds(lambda k, cs: [ZERO] * k + cs,
+                                st.integers(1, 3), st.one_of(unit_lc_lists, non_unit_lc_lists))
+any_lists = st.one_of(coeff_lists, palindromes, unit_lc_lists, non_unit_lc_lists,
+                      zero_constant_lists)
 
 
 def trim(cs):
@@ -147,11 +158,51 @@ def test_divides(g, f, n):
     assert outcome(divides, Poly(g), Poly(f), n) == outcome(ref_divides, g, f, n)
 
 
-@given(st.one_of(coeff_lists, palindromes))
+@given(any_lists)
 def test_reciprocal_and_self_reciprocal_constant(f):
+    """The solved constant equals the ordered 16-constant scan, also for
+    non-unit leading coefficients and zero constant terms."""
     assert outcome(lambda: reciprocal(Poly(f)).coeffs) == outcome(ref_reciprocal, f)
     assert (outcome(self_reciprocal_constant, Poly(f))
             == outcome(ref_self_reciprocal_constant, f))
+
+
+@given(any_lists, st.one_of(any_lists, st.none()), elems, st.sets(elems, min_size=1))
+def test_constant_factor_matches_the_ordered_scan(f, g, m, among):
+    if g is None:  # a multiple of f, so that matches are common
+        g = [m * c for c in f]
+    among = sorted(among, key=ALL_ELEMENTS.index)
+    scan = next((m for m in among if trim(m * c for c in f) == trim(g)), None)
+    got = constant_factor(Poly(f), Poly(g), bytes(map(ALL_ELEMENTS.index, among)))
+    assert (None if got is None else ALL_ELEMENTS[got]) == scan
+
+
+def test_solve_unit_inverts_every_unit():
+    for x in ALL_ELEMENTS:
+        for y in ALL_ELEMENTS:
+            m = solve_unit(ALL_ELEMENTS.index(x), ALL_ELEMENTS.index(y))
+            if x.is_unit():
+                assert ALL_ELEMENTS[m] * x == y
+            else:
+                assert m is None
+
+
+@given(st.integers(0, 64))
+def test_x_pow_literal(k):
+    assert x_pow(k) == Poly([0] * k + [1])
+
+
+@given(st.integers(1, 64))
+def test_xn_minus_1_literal(n):
+    assert xn_minus_1(n) == Poly([-1] + [0] * (n - 1) + [1])
+
+
+@given(coeff_lists, st.integers(0, 4))
+def test_mod_xn_keeps_a_reduced_polynomial(f, extra):
+    f = Poly(f)
+    n = max(len(f.symbols), 1) + extra  # deg f < n
+    assert poly_mod_xn(f, n) == f
+    assert poly_mod_xn(f, n) is f
 
 
 def test_shift_rejects_negative_exponent():
@@ -159,6 +210,10 @@ def test_shift_rejects_negative_exponent():
         Poly([1, 2]).shift(-1)
     with pytest.raises(ValueError):
         Poly().shift(-1)
+    with pytest.raises(ValueError):
+        x_pow(-1)
+    with pytest.raises(ValueError):
+        xn_minus_1(0)
 
 
 def lattice_tuples_63():

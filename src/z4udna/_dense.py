@@ -1,11 +1,12 @@
 """Dense word-set kernels.
 
-A length-n word over the ring is a row of 2n base-4 digits
-``[a0, b0, a1, b1, ...]``; a word set is a uint8 array of such rows,
-kept unique and lexicographically sorted (the canonical export order).
-When 2n <= 32 the rows pack into single uint64 keys, big-endian in the
-digits so key order equals row order; larger n falls back to row-wise
-np.unique.
+A length-n word over the ring is a row of n symbol indices 4a + b, the
+same indices as ``Poly.symbols``; a word set is a uint8 array of such rows,
+kept unique and lexicographically sorted (the canonical export order,
+which is the order of the (a, b) pairs).  Ring operations on rows are
+lookups in the symbol tables of ``ring``.  When n <= 16 the rows pack into
+single uint64 keys, 4 bits a symbol and big-endian, so key order equals
+row order; larger n falls back to row-wise np.unique.
 """
 
 from __future__ import annotations
@@ -13,22 +14,27 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceeded
+from .ring import ADD, COMPLEMENT, MUL
 
-_PACK_LIMIT = 32  # max row width (digits) for the single-key fast path
+_PACK_LIMIT = 16  # max row width (symbols) for the single-key fast path
+
+_ADD16 = np.frombuffer(ADD, dtype=np.uint8).reshape(16, 16)
+_MUL16 = np.frombuffer(MUL, dtype=np.uint8).reshape(16, 16)
+_COMPLEMENT = np.frombuffer(COMPLEMENT, dtype=np.uint8)
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
     width = rows.shape[1]
     keys = np.zeros(rows.shape[0], dtype=np.uint64)
     for k in range(width):
-        keys |= rows[:, k].astype(np.uint64) << np.uint64(2 * (width - 1 - k))
+        keys |= rows[:, k].astype(np.uint64) << np.uint64(4 * (width - 1 - k))
     return keys
 
 
 def _unpack(keys: np.ndarray, width: int) -> np.ndarray:
     rows = np.empty((keys.shape[0], width), dtype=np.uint8)
     for k in range(width):
-        rows[:, k] = (keys >> np.uint64(2 * (width - 1 - k))).astype(np.uint8) & 3
+        rows[:, k] = (keys >> np.uint64(4 * (width - 1 - k))).astype(np.uint8) & 15
     return rows
 
 
@@ -55,16 +61,7 @@ def same_set(canonical_rows: np.ndarray, other_rows: np.ndarray) -> bool:
 
 def scalar_orbit(row: np.ndarray) -> np.ndarray:
     """Distinct multiples r*v over all 16 ring scalars r."""
-    va = row[0::2].astype(np.int64)
-    vb = row[1::2].astype(np.int64)
-    out = np.empty((16, row.size), dtype=np.uint8)
-    i = 0
-    for ra in range(4):
-        for rb in range(4):
-            out[i, 0::2] = (ra * va) % 4
-            out[i, 1::2] = (ra * vb + rb * va) % 4
-            i += 1
-    return np.unique(out, axis=0)
+    return np.unique(_MUL16[:, row], axis=0)
 
 
 def _union_translates(rows: np.ndarray, deltas: np.ndarray, cap: int) -> np.ndarray:
@@ -73,13 +70,12 @@ def _union_translates(rows: np.ndarray, deltas: np.ndarray, cap: int) -> np.ndar
     if width <= _PACK_LIMIT:
         acc = None
         for d in deltas:
-            part = np.sort(_pack((rows + d) % 4))
+            part = np.sort(_pack(_ADD16[rows, d]))
             acc = part if acc is None else np.union1d(acc, part)
             if acc.size > cap:
                 raise CapExceeded(f"code grew past cap={cap}")
         return _unpack(acc, width)
-    parts = [(rows + d) % 4 for d in deltas]
-    merged = np.unique(np.concatenate(parts), axis=0)
+    merged = np.unique(np.concatenate([_ADD16[rows, d] for d in deltas]), axis=0)
     if merged.shape[0] > cap:
         raise CapExceeded(f"code grew past cap={cap}")
     return merged
@@ -103,21 +99,16 @@ def span_closure(vectors, cap: int) -> np.ndarray:
 
 def roll_rows(rows: np.ndarray, shift: int = 1) -> np.ndarray:
     """Cyclic shift by ``shift`` symbols (right rotation for +1)."""
-    m, width = rows.shape
-    n = width // 2
-    return np.roll(rows.reshape(m, n, 2), shift, axis=1).reshape(m, width)
+    return np.roll(rows, shift, axis=1)
 
 
 def reverse_rows(rows: np.ndarray) -> np.ndarray:
-    m, width = rows.shape
-    n = width // 2
-    return rows.reshape(m, n, 2)[:, ::-1, :].reshape(m, width)
+    return rows[:, ::-1]
 
 
 def complement_rows(rows: np.ndarray) -> np.ndarray:
-    # (1+u) - (a + ub) componentwise: both digits map t -> (1 - t) mod 4.
-    # uint8 underflow is harmless because 256 = 0 mod 4.
-    return (1 - rows) % 4
+    """(1+u) - x symbolwise."""
+    return _COMPLEMENT[rows]
 
 
 def rc_rows(rows: np.ndarray) -> np.ndarray:

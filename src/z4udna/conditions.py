@@ -30,9 +30,10 @@ from .cyclic import (
     DEFAULT_CAP,
     GeneratorSet,
     enumerate_code,
-    validate,
+    require_valid,
+    validate,  # noqa: F401  kept importable as conditions.validate
 )
-from .errors import CapExceeded, InvalidGenerators, WrongForm
+from .errors import CapExceeded, WrongForm
 from .poly import (
     Poly,
     constant_factor,
@@ -47,7 +48,7 @@ from .ring import ALL_ELEMENTS, RingElem, UNITS
 PROPERTIES = ("reversible", "rc_closed")
 
 # Symbol indices of the units other than 1, in canonical element order.
-_UNITS_BUT_ONE = bytes(4 * m.a + m.b for m in UNITS[1:])  # UNITS[0] is 1
+_UNITS_BUT_ONE = bytes(m.index for m in UNITS[1:])  # UNITS[0] is 1
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,6 @@ class CrossValReport:
     observed: bool
     agree: bool
     erratum: Optional[str] = None
-
-
-def _require_valid(gens: GeneratorSet) -> None:
-    problems = validate(gens)
-    if problems:
-        raise InvalidGenerators("; ".join(problems))
 
 
 def _self_reciprocal(name: str, f: Poly, failures: list[str]) -> None:
@@ -120,7 +115,7 @@ def check_reversible_single(gens: GeneratorSet) -> ConditionReport:
     """Condition set T31 for a single-generator code."""
     if gens.f3 is not None or gens.f4 is not None:
         raise WrongForm("single-generator checker given a double-generator tuple")
-    _require_valid(gens)
+    require_valid(gens)
     failures: list[str] = []
     notes: list[str] = []
     _self_reciprocal("f1", gens.f1, failures)
@@ -146,7 +141,7 @@ def check_reversible_double(gens: GeneratorSet) -> ConditionReport:
     """Condition set T32 for a double-generator code."""
     if gens.f3 is None or gens.f4 is None:
         raise WrongForm("double-generator checker needs f3 and f4")
-    _require_valid(gens)
+    require_valid(gens)
     failures: list[str] = []
     notes: list[str] = []
     _self_reciprocal("f1", gens.f1, failures)
@@ -244,14 +239,14 @@ def cross_validate(gens: GeneratorSet, prop: str,
 F14_ALPHABET = (RingElem(0), RingElem(1), RingElem(2), RingElem(0, 1))
 
 
-def _divisor_lattice(n: int) -> list[tuple[int, Poly]]:
-    """Monic divisors of x^n - 1 as (factor subset mask, product)."""
+def _divisor_lattice(n: int) -> list[Poly]:
+    """Monic divisors of x^n - 1, indexed by their factor subset mask."""
     factors = factor_xn_minus_1_z4(n)
     prods = [Poly([1])]
     for mask in range(1, 1 << len(factors)):
         low = mask & -mask  # one multiplication: the mask without its low bit
         prods.append(prods[mask ^ low] * factors[low.bit_length() - 1])
-    return list(enumerate(prods))
+    return prods
 
 
 def _submasks(mask: int) -> list[int]:
@@ -267,11 +262,9 @@ def _submasks(mask: int) -> list[int]:
 
 def _exhaustive_instances(n: int, max_f14_degree: int):
     lattice = _divisor_lattice(n)
-    by_mask = dict(lattice)
     ncoef = min(max_f14_degree, n - 1) + 1
     f14s = [Poly(c) for c in itertools.product(F14_ALPHABET, repeat=ncoef)]
-    pairs = [(by_mask[m1], by_mask[m2])
-             for m1, _ in lattice for m2 in _submasks(m1)]
+    pairs = [(f1, lattice[m2]) for m1, f1 in enumerate(lattice) for m2 in _submasks(m1)]
     for f1, f2 in pairs:
         for f14 in f14s:
             yield GeneratorSet(n, f1, f2, f14)
@@ -281,18 +274,17 @@ def _exhaustive_instances(n: int, max_f14_degree: int):
                 yield GeneratorSet(n, f1, f2, f14, f3, f4)
 
 
-def _random_instance(n: int, max_f14_degree: int, lattice, by_mask,
+def _random_instance(n: int, max_f14_degree: int, lattice: list[Poly],
                      rng: random.Random):
-    m1 = rng.randrange(len(lattice))
-    f1_mask = lattice[m1][0]
-    f2 = by_mask[rng.choice(_submasks(f1_mask))]
+    f1_mask = rng.randrange(len(lattice))
+    f2 = lattice[rng.choice(_submasks(f1_mask))]
     ncoef = min(max_f14_degree, n - 1) + 1
     f14 = Poly(rng.choice(ALL_ELEMENTS) for _ in range(ncoef))
     if rng.random() < 0.5:
-        return GeneratorSet(n, lattice[m1][1], f2, f14)
-    f3_mask = lattice[rng.randrange(len(lattice))][0]
-    f4 = by_mask[rng.choice(_submasks(f3_mask))]
-    return GeneratorSet(n, lattice[m1][1], f2, f14, by_mask[f3_mask], f4)
+        return GeneratorSet(n, lattice[f1_mask], f2, f14)
+    f3_mask = rng.randrange(len(lattice))
+    f4 = lattice[rng.choice(_submasks(f3_mask))]
+    return GeneratorSet(n, lattice[f1_mask], f2, f14, lattice[f3_mask], f4)
 
 
 def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
@@ -314,7 +306,6 @@ def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
                 reports.append(_crossval_with_code(gens, prop, code))
         return reports
     lattice = _divisor_lattice(n)
-    by_mask = dict(lattice)
     rng = random.Random(seed)
     collected = 0
     attempts = 0
@@ -323,7 +314,7 @@ def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
         if attempts > 200 * samples:
             raise CapExceeded(
                 f"collected only {collected} of {samples} instances under cap={cap}")
-        gens = _random_instance(n, max_f14_degree, lattice, by_mask, rng)
+        gens = _random_instance(n, max_f14_degree, lattice, rng)
         try:
             code = enumerate_code(gens, cap)
         except CapExceeded:

@@ -17,11 +17,13 @@ import numpy as np
 from . import _dense
 from .errors import InvalidGenerators, TrivialCode, LengthMismatch
 from .poly import Poly, divides, poly_divmod, poly_mod_xn, xn_minus_1
-from .ring import ALL_ELEMENTS, LEE_Z4, RingElem, U
+from .ring import ALL_ELEMENTS, LEE, RingElem, U
 
 DEFAULT_CAP = 1 << 20
 
 _TWO_U = RingElem(0, 2)
+
+_LEE = np.frombuffer(LEE, dtype=np.uint8)
 
 CodeWord = tuple[RingElem, ...]
 
@@ -59,11 +61,11 @@ def word_from_poly(f: Poly, n: int) -> CodeWord:
 
 
 def word_to_row(w: CodeWord) -> np.ndarray:
-    return np.array([(c.a, c.b) for c in w], dtype=np.uint8).reshape(-1)
+    return np.array([c.index for c in w], dtype=np.uint8)
 
 
 def row_to_word(row: np.ndarray) -> CodeWord:
-    return tuple(RingElem(int(row[2 * k]), int(row[2 * k + 1])) for k in range(row.size // 2))
+    return tuple(ALL_ELEMENTS[k] for k in row.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +123,16 @@ def validate(gens: GeneratorSet) -> list[str]:
     return problems
 
 
-def generator_polys(gens: GeneratorSet) -> tuple[Poly, Optional[Poly]]:
-    """The reduced ideal generators (f1 + 2f2 + 2u*f14, u*f3 + 2u*f4)."""
+def require_valid(gens: GeneratorSet) -> None:
+    """Raise InvalidGenerators naming every problem ``validate`` finds."""
     problems = validate(gens)
     if problems:
         raise InvalidGenerators("; ".join(problems))
+
+
+def generator_polys(gens: GeneratorSet) -> tuple[Poly, Optional[Poly]]:
+    """The reduced ideal generators (f1 + 2f2 + 2u*f14, u*f3 + 2u*f4)."""
+    require_valid(gens)
     g_a = poly_mod_xn(gens.f1 + gens.f2 * 2 + gens.f14 * _TWO_U, gens.n)
     g_b = None
     if gens.f3 is not None:
@@ -140,8 +147,9 @@ def generator_polys(gens: GeneratorSet) -> tuple[Poly, Optional[Poly]]:
 class Code:
     """An explicitly enumerated code: a canonical array of words.
 
-    Words are stored as rows of 2n base-4 digits in lexicographic order by
-    the (a, b) pairs of the symbols, so exports are deterministic and
+    Words are stored as rows of n symbol indices 4a + b (the indices of
+    ``Poly.symbols``) in lexicographic order, which is the order by the
+    (a, b) pairs of the symbols, so exports are deterministic and
     diffable.  All predicates below are exhaustive checks over the stored
     set, not algebraic shortcuts.
     """
@@ -158,6 +166,8 @@ class Code:
         stacked = [word_to_row(w) for w in words]
         if not stacked:
             raise ValueError("a code needs at least one word")
+        if any(row.size != n for row in stacked):
+            raise LengthMismatch(f"every word of a length-{n} code needs {n} symbols")
         return cls(n, _dense.canonical(np.stack(stacked)), source)
 
     def __len__(self) -> int:
@@ -170,9 +180,6 @@ class Code:
         """Words in canonical order."""
         for row in self._rows:
             yield row_to_word(row)
-
-    def rows(self) -> np.ndarray:
-        return self._rows.copy()
 
     # -- closure predicates -------------------------------------------------
 
@@ -198,27 +205,18 @@ class Code:
 
     # -- distances ------------------------------------------------------------
 
-    def _nonzero_pairs(self) -> np.ndarray:
+    def _nonzero_rows(self) -> np.ndarray:
         if len(self) < 2:
             raise TrivialCode("need at least two codewords")
-        rows = self._rows
-        keep = ~(rows == 0).all(axis=1)
-        return rows[keep].reshape(-1, self.n, 2)
+        return self._rows[self._rows.any(axis=1)]
 
     def min_hamming_distance(self) -> int:
         """Minimum symbolwise Hamming distance; equals the minimum nonzero
         weight because the code is an additive group."""
-        pairs = self._nonzero_pairs()
-        weights = (pairs != 0).any(axis=2).sum(axis=1)
-        return int(weights.min())
+        return int((self._nonzero_rows() != 0).sum(axis=1).min())
 
     def min_lee_distance(self) -> int:
-        pairs = self._nonzero_pairs()
-        lee = np.asarray(LEE_Z4)
-        a = pairs[:, :, 0].astype(np.int64)
-        b = pairs[:, :, 1].astype(np.int64)
-        weights = (lee[b] + lee[(a + b) % 4]).sum(axis=1)
-        return int(weights.min())
+        return int(_LEE[self._nonzero_rows()].sum(axis=1).min())
 
     # -- derived views ----------------------------------------------------------
 
@@ -226,8 +224,7 @@ class Code:
         """Each word in export format ``fmt``, in canonical word order."""
         text = _SYMBOL_TEXT[fmt]
         sep = "," if fmt == "ring" else ""
-        symbols = 4 * self._rows[:, 0::2] + self._rows[:, 1::2]
-        return [sep.join([text[k] for k in word]) for word in symbols.tolist()]
+        return [sep.join([text[k] for k in word]) for word in self._rows.tolist()]
 
     def dna_words(self) -> list[str]:
         """Nucleotide strings of length 2n, in canonical word order."""
@@ -257,9 +254,8 @@ def enumerate_code(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> Code:
     for g in (g_a, g_b):
         if g is None:
             continue
-        base = word_to_row(word_from_poly(g, n))
-        for i in range(n):
-            vectors.append(_dense.roll_rows(base.reshape(1, -1), i)[0])
+        base = np.frombuffer(poly_mod_xn(g, n).symbols.ljust(n, b"\0"), dtype=np.uint8)
+        vectors.extend(np.roll(base, i) for i in range(n))
     rows = _dense.span_closure(vectors, cap)
     code = Code(n, rows, gens)
     # spanning all n shifts of each generator makes the result an ideal;

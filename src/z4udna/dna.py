@@ -138,7 +138,7 @@ def min_ring_distance(codebook: Iterable[DnaWord], metric: str) -> int:
     if metric not in _RING_METRICS:
         raise ValueError(f"unknown ring metric {metric!r}")
     rows = _RING_METRICS[metric].__getitem__
-    words = [tuple(4 * c.a + c.b for c in decode(w)) for w in _as_book(codebook)]
+    words = [tuple(c.index for c in decode(w)) for w in _as_book(codebook)]
     return _min_distance(words, lambda x, y: sum(map(getitem, map(rows, x), y)))
 
 

@@ -35,7 +35,7 @@ Coeff = Union[RingElem, int]
 
 def _index(c: Coeff) -> int:
     """Symbol index 4a + b of a coefficient; an int c means c + 0u."""
-    return 4 * c.a + c.b if isinstance(c, RingElem) else c % 4 * 4
+    return c.index if isinstance(c, RingElem) else c % 4 * 4
 
 
 def _add(x, y) -> bytes:

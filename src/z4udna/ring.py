@@ -125,6 +125,11 @@ class RingElem:
     def __repr__(self):
         return f"RingElem({self.a}, {self.b})"
 
+    @property
+    def index(self) -> int:
+        """The symbol index 4a + b, the position in ``ALL_ELEMENTS``."""
+        return 4 * self.a + self.b
+
     def is_unit(self) -> bool:
         """True iff the element is invertible, i.e. a is odd."""
         return self.a % 2 == 1
@@ -179,6 +184,9 @@ NEG = bytes(-(k >> 2) % 4 * 4 + -k % 4 for k in range(16)) * 16
 # INV[x] is the index of 1/x for a unit x (x & 4, an odd Z4 part) and 0 for
 # a non-unit; 0 is never an inverse, so it doubles as "no inverse".
 INV = bytes(MUL.index(4, 16 * x, 16 * x + 16) % 16 if x & 4 else 0 for x in range(16))
+# COMPLEMENT[x] is the index of (1+u) - x and LEE[x] the Lee weight of x.
+COMPLEMENT = bytes((1 - (k >> 2)) % 4 * 4 + (1 - k) % 4 for k in range(16))
+LEE = bytes(LEE_Z4[k & 3] + LEE_Z4[((k >> 2) + k) % 4] for k in range(16))
 
 
 def solve_unit(x: int, y: int) -> int | None:

@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from test_acceptance import _oracle_words
 from z4udna import _dense
+from z4udna.conditions import _divisor_lattice, _random_instance
 from z4udna.cyclic import (
     Code,
     GeneratorSet,
@@ -17,6 +20,7 @@ from z4udna.cyclic import (
     render_code_export,
     reverse_complement,
     reverse_word,
+    row_to_word,
     validate,
     word_from_poly,
     word_to_row,
@@ -249,8 +253,8 @@ def test_export_is_deterministic():
 
 
 def test_enumerate_length21_uses_wide_rows():
-    # 2n = 42 digits exceeds the packed-key width, exercising the
-    # row-wise dedup path end to end
+    # n = 21 symbols exceeds the 16-symbol packed-key limit, exercising
+    # the row-wise dedup path end to end
     ones = Poly([1] * 21)
     assert poly_divmod(xn_minus_1(21), Poly.parse("3,1")) == (ones, Poly())
     gens = GeneratorSet(21, ones, ones)
@@ -273,5 +277,148 @@ def test_membership_and_word_round_trip():
     assert words_of([0]) not in code
     assert words_of([0, 0, 0, 0]) not in code
     row = word_to_row(words_of([(2, 3), (0, 1), (3, 0)]))
-    from z4udna.cyclic import row_to_word
+    assert list(row) == [11, 1, 12]
     assert row_to_word(row) == words_of([(2, 3), (0, 1), (3, 0)])
+
+
+def test_from_words_rejects_words_of_another_length():
+    with pytest.raises(LengthMismatch):
+        Code.from_words(3, [words_of([0, 0, 0, 0]), words_of([1, 0, 0, 0])])
+    with pytest.raises(LengthMismatch):
+        Code.from_words(3, [words_of([0, 0, 0]), words_of([1, 0])])
+
+
+# ---------------------------------------------------------------------------
+# Symbol-row kernels against RingElem reference code
+# ---------------------------------------------------------------------------
+
+# both sides of the 16-symbol packed-key limit of _dense
+LENGTHS = (1, 3, 15, 16, 17, 21)
+
+elements = st.builds(RingElem, st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def word_lists(draw, max_words=12):
+    n = draw(st.sampled_from(LENGTHS))
+    word = st.lists(elements, min_size=n, max_size=n).map(tuple)
+    return n, draw(st.lists(word, min_size=1, max_size=max_words))
+
+
+def _rows(words):
+    return np.stack([word_to_row(w) for w in words])
+
+
+def _words(rows):
+    return [row_to_word(row) for row in rows]
+
+
+def _sorted_set(words):
+    """Distinct words in canonical order: by the (a, b) pairs of the symbols."""
+    return sorted(set(words), key=lambda w: [(c.a, c.b) for c in w])
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_lists())
+def test_canonical_sorts_by_symbol_pairs(case):
+    _, words = case
+    assert _words(_dense.canonical(_rows(words))) == _sorted_set(words)
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_lists(), st.integers(-25, 25))
+def test_row_maps_match_word_maps(case, shift):
+    n, words = case
+    rows = _rows(words)
+    assert _words(_dense.complement_rows(rows)) == [complement_word(w) for w in words]
+    assert _words(_dense.reverse_rows(rows)) == [reverse_word(w) for w in words]
+    assert _words(_dense.rc_rows(rows)) == [reverse_complement(w) for w in words]
+    shifted = words
+    for _ in range(shift % n):
+        shifted = [cyclic_shift(w) for w in shifted]
+    assert _words(_dense.roll_rows(rows, shift)) == shifted
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_lists(max_words=1))
+def test_scalar_orbit_is_every_multiple(case):
+    _, (w,) = case
+    multiples = [tuple(r * c for c in w) for r in ALL_ELEMENTS]
+    assert _words(_dense.scalar_orbit(word_to_row(w))) == _sorted_set(multiples)
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_lists(), st.data())
+def test_translates_are_symbolwise_sums(case, data):
+    n, words = case
+    deltas = data.draw(st.lists(st.lists(elements, min_size=n, max_size=n).map(tuple),
+                                min_size=1, max_size=4))
+    expected = _sorted_set(tuple(x + y for x, y in zip(w, d))
+                           for w in words for d in deltas)
+    rows, delta_rows = _dense.canonical(_rows(words)), _rows(deltas)
+    assert _words(_dense._union_translates(rows, delta_rows, len(expected))) == expected
+    with pytest.raises(CapExceeded):
+        _dense._union_translates(rows, delta_rows, len(expected) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_lists())
+def test_min_distances_are_min_nonzero_weights(case):
+    n, words = case
+    words = [(RingElem(0),) * n] + words
+    nonzero = [w for w in set(words) if any(w)]
+    assume(nonzero)
+    code = Code.from_words(n, words)
+    assert code.min_hamming_distance() == min(sum(1 for c in w if c) for w in nonzero)
+    assert code.min_lee_distance() == min(sum(c.lee_weight() for c in w) for w in nonzero)
+
+
+def _multiples(g, n):
+    """{m*g mod x^n - 1 : every multiplier m}, one coefficient of m at a time.
+
+    After step i the set holds every sum of m_k x^k g over k <= i, so the
+    last step holds all products m*g without listing the 16^n multipliers.
+    """
+    base = word_from_poly(g, n)
+    out = {(RingElem(0),) * n}
+    for i in range(n):
+        shifted = tuple(base[(k - i) % n] for k in range(n))  # x^i * g
+        out = {tuple(s + m * c for s, c in zip(word, shifted))
+               for word in out for m in ALL_ELEMENTS}
+    return out
+
+
+def _ideal_words(gens):
+    """The ideal as the set of all m_a*g_a + m_b*g_b, as in acceptance-09."""
+    g_a, g_b = generator_polys(gens)
+    words = _multiples(g_a, gens.n)
+    if g_b is None:
+        return words
+    return {tuple(x + y for x, y in zip(v, w))
+            for v in words for w in _multiples(g_b, gens.n)}
+
+
+def test_ideal_oracle_matches_acceptance_oracle():
+    for gens in (EX_61I, EX_61II, GeneratorSet(3, Poly.parse("3,1"), Poly.parse("1"))):
+        assert _ideal_words(gens) == _oracle_words(gens)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_enumerate_matches_oracle_on_small_length7_codes(seed):
+    rng = random.Random(seed)
+    lattice = _divisor_lattice(7)
+    while True:
+        gens = _random_instance(7, 2, lattice, rng)
+        try:
+            code = enumerate_code(gens, cap=256)
+        except CapExceeded:
+            continue
+        break
+    assert list(code.words()) == _sorted_set(_ideal_words(gens))
+
+
+def test_enumerate_matches_oracle_on_wide_rows():
+    ones = Poly([1] * 21)
+    gens = GeneratorSet(21, ones, ones)
+    assert list(enumerate_code(gens).words()) == _sorted_set(_ideal_words(gens))

@@ -6,6 +6,8 @@ import pytest
 
 from z4udna.ring import (
     ALL_ELEMENTS,
+    COMPLEMENT,
+    LEE,
     RingElem,
     UNITS,
     complement,
@@ -132,6 +134,14 @@ def test_lee_weights():
     assert lee_weight(RingElem(0, 3)) == 2
     for x in ALL_ELEMENTS:
         assert lee_weight(x) == sum(gray(x))
+
+
+def test_symbol_tables_match_element_maps():
+    for a, b in itertools.product(range(4), repeat=2):
+        x = RingElem(a, b)
+        assert ALL_ELEMENTS[x.index] == x
+        assert ALL_ELEMENTS[COMPLEMENT[x.index]] == x.complement()
+        assert LEE[x.index] == x.lee_weight()
 
 
 def test_lee_hamming_isometry():

@@ -1,8 +1,12 @@
 """Condition checkers and the prediction-vs-brute-force harness."""
 
+from collections import Counter
+
 import pytest
 
 from z4udna.conditions import (
+    PROPERTIES,
+    _exhaustive_instances,
     check_rc_double,
     check_rc_single,
     check_reversible_double,
@@ -14,7 +18,7 @@ from z4udna.conditions import (
 )
 from z4udna.cyclic import GeneratorSet, enumerate_code
 from z4udna.errors import CapExceeded, InvalidGenerators, WrongForm
-from z4udna.poly import Poly, xn_minus_1
+from z4udna.poly import Poly, self_reciprocal_constant, xn_minus_1
 
 G2_3 = Poly.parse("1,1,1")
 EX_61I = GeneratorSet(3, G2_3, G2_3)
@@ -173,3 +177,30 @@ def test_conditions_are_pure():
     a = check_reversible_single(EX_61I)
     b = check_reversible_single(EX_61I)
     assert a == b
+
+
+def test_conditions_are_sound_on_the_exhaustive_length7_lattice():
+    # Every divisor of x^n - 1 is self-reciprocal for n = 3, 5 and 9, so
+    # only a lattice like n = 7's can catch a reversibility prediction that
+    # does not hold.  Codes over the cap are skipped: 229 of the 3024
+    # tuples (f14 of degree 0) have at most 2^8 words.
+    wrong = Counter()
+    enumerated = 0
+    for gens in _exhaustive_instances(7, 0):
+        try:
+            code = enumerate_code(gens, cap=1 << 8)
+        except CapExceeded:
+            continue
+        enumerated += 1
+        observed = {"reversible": code.is_reversible(), "rc_closed": code.is_rc_closed()}
+        for prop in PROPERTIES:
+            report = predict(gens, prop, code=code)
+            if report.satisfied and not observed[prop]:
+                wrong[report.theorem, prop] += 1
+                # the known T32 defect (ROADMAP, "Bug: T32 and T42 accept
+                # codes that are not reversible"): nothing checks f4 itself
+                assert gens.f4 is not None and self_reciprocal_constant(gens.f4) is None
+    assert enumerated == 229
+    # T31/T41 never predict a property the code lacks; fixing the T32 bug
+    # takes both of these counts to 0
+    assert wrong == {("T32", "reversible"): 48, ("T42", "rc_closed"): 12}

@@ -1,10 +1,11 @@
 """Generator validation, enumeration, closure properties and exports."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from test_acceptance import _oracle_words
 from z4udna import _dense
@@ -117,6 +118,20 @@ def test_enumerate_length7():
 def test_enumerate_cap():
     with pytest.raises(CapExceeded):
         enumerate_code(GeneratorSet(3, Poly.parse("1"), Poly.parse("1")), cap=100)
+
+
+def test_cap_bounds_memory_of_wide_rows():
+    # n = 21 takes the row path; merging one translate at a time keeps the
+    # set near the cap instead of materialising all 16 translates of it
+    x_minus_1 = Poly.parse("3,1")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            enumerate_code(GeneratorSet(21, x_minus_1, x_minus_1), cap=1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
 
 
 def test_enumerate_rejects_a_set_that_is_not_shift_closed(monkeypatch):
@@ -422,3 +437,83 @@ def test_enumerate_matches_oracle_on_wide_rows():
     ones = Poly([1] * 21)
     gens = GeneratorSet(21, ones, ones)
     assert list(enumerate_code(gens).words()) == _sorted_set(_ideal_words(gens))
+
+
+# ---------------------------------------------------------------------------
+# Packed-key kernels of _dense (n <= 16) against row arithmetic
+# ---------------------------------------------------------------------------
+
+@st.composite
+def narrow_rows_and_delta(draw, max_rows=12):
+    width = draw(st.integers(1, 16))
+    cells = st.lists(st.integers(0, 15), min_size=width, max_size=width)
+    rows = draw(st.lists(cells, min_size=1, max_size=max_rows))
+    return np.array(rows, dtype=np.uint8), np.array(draw(cells), dtype=np.uint8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(narrow_rows_and_delta())
+@example((np.full((1, 16), 15, dtype=np.uint8), np.full(16, 15, dtype=np.uint8)))
+def test_key_addition_is_symbolwise_ring_addition(case):
+    # width 16 fills all 64 bits of a key, so every lane mask bit counts
+    rows, d = case
+    keys = _dense._add_keys(_dense._pack(rows), _dense._pack(d.reshape(1, -1))[0])
+    assert np.array_equal(keys, _dense._pack(_dense._ADD16[rows, d]))
+
+
+_WORD_MAPS = (_dense.roll_rows, _dense.reverse_rows, _dense.complement_rows, _dense.rc_rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_lists(), st.sampled_from(_WORD_MAPS))
+def test_same_set_agrees_with_canonical_comparison(case, word_map):
+    n, words = case
+    rows = _dense.canonical(_rows(words))
+    # the union of all images is closed under the map, so both answers occur
+    closed = rows
+    for _ in range(n):
+        closed = _dense.canonical(np.concatenate([closed, word_map(closed)]))
+    for s in (rows, closed):
+        image = word_map(s)
+        assert _dense.same_set(s, image) == np.array_equal(s, _dense.canonical(image))
+    assert _dense.same_set(closed, word_map(closed))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from((3, 7)), st.integers(0, 2**32 - 1))
+def test_key_span_closure_matches_oracle_on_shuffled_vectors(n, seed):
+    rng = random.Random(seed)
+    lattice = _divisor_lattice(n)
+    while True:
+        gens = _random_instance(n, 2, lattice, rng)
+        try:
+            enumerate_code(gens, cap=128)
+        except CapExceeded:
+            continue
+        break
+    expected = _sorted_set(_ideal_words(gens))
+    vectors = [word_to_row(word_from_poly(g.shift(i), n))
+               for g in generator_polys(gens) if g is not None for i in range(n)]
+    rng.shuffle(vectors)
+    assert _words(_dense.span_closure(vectors, len(expected))) == expected
+    if len(expected) > 1:
+        with pytest.raises(CapExceeded):
+            _dense.span_closure(vectors, len(expected) - 1)
+
+
+def test_span_closure_skips_vectors_already_in_the_span(monkeypatch):
+    # R*v adds nothing when v is in the span, so the set is not translated
+    calls = []
+    add_keys = _dense._add_keys
+
+    def counted(keys, d):
+        calls.append(d)
+        return add_keys(keys, d)
+
+    monkeypatch.setattr(_dense, "_add_keys", counted)
+    v = word_to_row(words_of([1, 2, 3, 0, 5]))
+    _dense.span_closure([v], 1 << 20)
+    alone = len(calls)
+    calls.clear()
+    rows = _dense.span_closure([v, _dense._MUL16[2, v], v, _dense._MUL16[5, v]], 1 << 20)
+    assert len(calls) == alone and len(rows) == 16

@@ -145,18 +145,20 @@ def generator_polys(gens: GeneratorSet) -> tuple[Poly, Optional[Poly]]:
 # ---------------------------------------------------------------------------
 
 class Code:
-    """An explicitly enumerated code: a canonical array of words.
+    """An explicitly enumerated code, stored as one sorted key array.
 
-    Words are stored as rows of n symbol indices 4a + b (the indices of
-    ``Poly.symbols``) in lexicographic order, which is the order by the
-    (a, b) pairs of the symbols, so exports are deterministic and
-    diffable.  All predicates below are exhaustive checks over the stored
-    set, not algebraic shortcuts.
+    A word is a row of n symbol indices 4a + b (the indices of
+    ``Poly.symbols``), and the code keeps one packed key per word
+    (``_dense.pack``).  Key order is the lexicographic order of the rows,
+    which is the order by the (a, b) pairs of the symbols, so words and
+    exports, unpacked from the keys, are deterministic and diffable.
+    Membership is a binary search in the keys.  All predicates below are
+    exhaustive checks over the stored set, not algebraic shortcuts.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, source: Optional[GeneratorSet] = None):
+    def __init__(self, n: int, keys: np.ndarray, source: Optional[GeneratorSet] = None):
         self.n = n
-        self._rows = rows
+        self._keys = keys
         self.source = source
 
     @classmethod
@@ -171,44 +173,49 @@ class Code:
         return cls(n, _dense.canonical(np.stack(stacked)), source)
 
     def __len__(self) -> int:
-        return self._rows.shape[0]
+        return self._keys.size
 
     def __contains__(self, w: CodeWord) -> bool:
-        return len(w) == self.n and _dense.contains(self._rows, word_to_row(w))
+        return len(w) == self.n and _dense.has_key(
+            self._keys, _dense.pack(word_to_row(w).reshape(1, -1))[0])
+
+    def _rows(self) -> np.ndarray:
+        return _dense.unpack(self._keys, self.n)
 
     def words(self) -> Iterator[CodeWord]:
         """Words in canonical order."""
-        for row in self._rows:
+        for row in self._rows():
             yield row_to_word(row)
 
     # -- closure predicates -------------------------------------------------
 
     def is_shift_closed(self) -> bool:
-        return _dense.same_set(self._rows, _dense.roll_rows(self._rows))
+        return _dense.same_set(self._keys, _dense.roll_rows(self._rows()))
 
     def is_reversible(self) -> bool:
-        return _dense.same_set(self._rows, _dense.reverse_rows(self._rows))
+        return _dense.same_set(self._keys, _dense.reverse_rows(self._rows()))
 
     def is_complement_closed(self) -> bool:
-        return _dense.same_set(self._rows, _dense.complement_rows(self._rows))
+        return _dense.same_set(self._keys, _dense.complement_rows(self._rows()))
 
     def is_rc_closed(self) -> bool:
-        return _dense.same_set(self._rows, _dense.rc_rows(self._rows))
+        return _dense.same_set(self._keys, _dense.rc_rows(self._rows()))
 
     def is_dna_code(self) -> bool:
         """Shift-closed, closed under reverse-complement, with no word
         equal to its own reverse-complement."""
-        rc = _dense.rc_rows(self._rows)
-        if (rc == self._rows).all(axis=1).any():
+        rows = self._rows()
+        rc = _dense.rc_rows(rows)
+        if (rc == rows).all(axis=1).any():
             return False
-        return self.is_shift_closed() and _dense.same_set(self._rows, rc)
+        return self.is_shift_closed() and _dense.same_set(self._keys, rc)
 
     # -- distances ------------------------------------------------------------
 
     def _nonzero_rows(self) -> np.ndarray:
         if len(self) < 2:
             raise TrivialCode("need at least two codewords")
-        return self._rows[self._rows.any(axis=1)]
+        return _dense.unpack(self._keys[self._keys != 0], self.n)
 
     def min_hamming_distance(self) -> int:
         """Minimum symbolwise Hamming distance; equals the minimum nonzero
@@ -224,7 +231,7 @@ class Code:
         """Each word in export format ``fmt``, in canonical word order."""
         text = _SYMBOL_TEXT[fmt]
         sep = "," if fmt == "ring" else ""
-        return [sep.join([text[k] for k in word]) for word in self._rows.tolist()]
+        return [sep.join([text[k] for k in word]) for word in self._rows().tolist()]
 
     def dna_words(self) -> list[str]:
         """Nucleotide strings of length 2n, in canonical word order."""
@@ -256,8 +263,7 @@ def enumerate_code(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> Code:
             continue
         base = np.frombuffer(poly_mod_xn(g, n).symbols.ljust(n, b"\0"), dtype=np.uint8)
         vectors.extend(np.roll(base, i) for i in range(n))
-    rows = _dense.span_closure(vectors, cap)
-    code = Code(n, rows, gens)
+    code = Code(n, _dense.span_closure(vectors, cap), gens)
     # spanning all n shifts of each generator makes the result an ideal;
     # fail loudly if that ever stops being true
     if not code.is_shift_closed():

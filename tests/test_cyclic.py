@@ -28,7 +28,7 @@ from z4udna.cyclic import (
 )
 from z4udna.errors import CapExceeded, InvalidGenerators, LengthMismatch, TrivialCode
 from z4udna.poly import Poly, divides, factor_xn_minus_1_z4, poly_divmod, xn_minus_1
-from z4udna.ring import ALL_ELEMENTS, RingElem
+from z4udna.ring import ADD, ALL_ELEMENTS, RingElem
 
 R = RingElem
 G2_3 = Poly.parse("1,1,1")
@@ -121,8 +121,9 @@ def test_enumerate_cap():
 
 
 def test_cap_bounds_memory_of_wide_rows():
-    # n = 21 takes the row path; merging one translate at a time keeps the
-    # set near the cap instead of materialising all 16 translates of it
+    # n = 21 packs words into Python-int keys; merging one translate at a
+    # time keeps the set near the cap instead of materialising all 16
+    # translates of it
     x_minus_1 = Poly.parse("3,1")
     tracemalloc.start()
     try:
@@ -268,8 +269,8 @@ def test_export_is_deterministic():
 
 
 def test_enumerate_length21_uses_wide_rows():
-    # n = 21 symbols exceeds the 16-symbol packed-key limit, exercising
-    # the row-wise dedup path end to end
+    # n = 21 symbols exceeds the 16 symbols of a uint64 key, so the words
+    # are Python-int keys end to end
     ones = Poly([1] * 21)
     assert poly_divmod(xn_minus_1(21), Poly.parse("3,1")) == (ones, Poly())
     gens = GeneratorSet(21, ones, ones)
@@ -281,6 +282,18 @@ def test_enumerate_length21_uses_wide_rows():
     assert is_quasi_cyclic_index4(code.gray_words())
     assert words_of([(3, 3)] * 21) in code
     assert words_of([(1, 0)] + [(3, 3)] * 20) not in code
+
+
+def test_enumerate_length73_constant_code():
+    # 73 symbols make a 292-bit key, far past one uint64
+    ones = Poly([1] * 73)
+    assert poly_divmod(xn_minus_1(73), Poly.parse("3,1")) == (ones, Poly())
+    code = enumerate_code(GeneratorSet(73, ones, ones))
+    assert len(code) == 16
+    assert words_of([(3, 3)] * 73) in code
+    assert words_of([(3, 3)] * 72 + [(3, 2)]) not in code
+    assert code.is_dna_code()
+    assert code.min_hamming_distance() == 73
 
 
 def test_membership_and_word_round_trip():
@@ -328,6 +341,10 @@ def _words(rows):
     return [row_to_word(row) for row in rows]
 
 
+def _key_words(keys, n):
+    return _words(_dense.unpack(keys, n))
+
+
 def _sorted_set(words):
     """Distinct words in canonical order: by the (a, b) pairs of the symbols."""
     return sorted(set(words), key=lambda w: [(c.a, c.b) for c in w])
@@ -336,8 +353,8 @@ def _sorted_set(words):
 @settings(max_examples=80, deadline=None)
 @given(word_lists())
 def test_canonical_sorts_by_symbol_pairs(case):
-    _, words = case
-    assert _words(_dense.canonical(_rows(words))) == _sorted_set(words)
+    n, words = case
+    assert _key_words(_dense.canonical(_rows(words)), n) == _sorted_set(words)
 
 
 @settings(max_examples=80, deadline=None)
@@ -357,9 +374,11 @@ def test_row_maps_match_word_maps(case, shift):
 @settings(max_examples=80, deadline=None)
 @given(word_lists(max_words=1))
 def test_scalar_orbit_is_every_multiple(case):
-    _, (w,) = case
+    # the span of one vector v is its orbit Rv under the 16 ring scalars
+    n, (w,) = case
     multiples = [tuple(r * c for c in w) for r in ALL_ELEMENTS]
-    assert _words(_dense.scalar_orbit(word_to_row(w))) == _sorted_set(multiples)
+    keys = _dense.span_closure([word_to_row(w)], 16)
+    assert _key_words(keys, n) == _sorted_set(multiples)
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,10 +389,10 @@ def test_translates_are_symbolwise_sums(case, data):
                                 min_size=1, max_size=4))
     expected = _sorted_set(tuple(x + y for x, y in zip(w, d))
                            for w in words for d in deltas)
-    rows, delta_rows = _dense.canonical(_rows(words)), _rows(deltas)
-    assert _words(_dense._union_translates(rows, delta_rows, len(expected))) == expected
-    with pytest.raises(CapExceeded):
-        _dense._union_translates(rows, delta_rows, len(expected) - 1)
+    _, low, high = _dense._key_type(n)
+    keys = _dense.canonical(_rows(words))
+    translates = [_dense._add_keys(keys, d, low, high) for d in _dense.pack(_rows(deltas))]
+    assert _key_words(np.unique(np.concatenate(translates)), n) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,29 +407,56 @@ def test_min_distances_are_min_nonzero_weights(case):
     assert code.min_lee_distance() == min(sum(c.lee_weight() for c in w) for w in nonzero)
 
 
-def _multiples(g, n):
-    """{m*g mod x^n - 1 : every multiplier m}, one coefficient of m at a time.
+def _multiples(g, n, limit):
+    """{m*g mod x^n - 1 : every multiplier m}, one coefficient of m at a time,
+    or None once the set holds more than ``limit`` words.
 
     After step i the set holds every sum of m_k x^k g over k <= i, so the
     last step holds all products m*g without listing the 16^n multipliers.
+    The sets only grow, so a set past ``limit`` means the result is too.
     """
     base = word_from_poly(g, n)
     out = {(RingElem(0),) * n}
     for i in range(n):
         shifted = tuple(base[(k - i) % n] for k in range(n))  # x^i * g
-        out = {tuple(s + m * c for s, c in zip(word, shifted))
-               for word in out for m in ALL_ELEMENTS}
+        terms = [tuple(m * c for c in shifted) for m in ALL_ELEMENTS]  # m x^i g
+        step = set()
+        for word in out:
+            step.update(tuple(s + t for s, t in zip(word, term)) for term in terms)
+            if len(step) > limit:
+                return None
+        out = step
     return out
 
 
-def _ideal_words(gens):
-    """The ideal as the set of all m_a*g_a + m_b*g_b, as in acceptance-09."""
+def _ideal_words(gens, limit=1 << 12):
+    """The ideal as the set of all m_a*g_a + m_b*g_b, as in acceptance-09,
+    or None once it is seen to hold more than ``limit`` words."""
     g_a, g_b = generator_polys(gens)
-    words = _multiples(g_a, gens.n)
-    if g_b is None:
+    words = _multiples(g_a, gens.n, limit)
+    if words is None or g_b is None:
         return words
-    return {tuple(x + y for x, y in zip(v, w))
-            for v in words for w in _multiples(g_b, gens.n)}
+    others = _multiples(g_b, gens.n, limit)
+    if others is None:
+        return None
+    out = set()
+    for v in words:
+        out.update(tuple(x + y for x, y in zip(v, w)) for w in others)
+        if len(out) > limit:
+            return None
+    return out
+
+
+def _small_instance(n, limit, rng):
+    """A random generator tuple of length n whose code has at most ``limit``
+    words, with its words; sized by the oracle so that no enumeration, and
+    no cap of the code under test, decides which draws are kept."""
+    lattice = _divisor_lattice(n)
+    while True:
+        gens = _random_instance(n, 2, lattice, rng)
+        words = _ideal_words(gens, limit)
+        if words is not None:
+            return gens, words
 
 
 def test_ideal_oracle_matches_acceptance_oracle():
@@ -421,16 +467,8 @@ def test_ideal_oracle_matches_acceptance_oracle():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_enumerate_matches_oracle_on_small_length7_codes(seed):
-    rng = random.Random(seed)
-    lattice = _divisor_lattice(7)
-    while True:
-        gens = _random_instance(7, 2, lattice, rng)
-        try:
-            code = enumerate_code(gens, cap=256)
-        except CapExceeded:
-            continue
-        break
-    assert list(code.words()) == _sorted_set(_ideal_words(gens))
+    gens, words = _small_instance(7, 256, random.Random(seed))
+    assert list(enumerate_code(gens, cap=256).words()) == _sorted_set(words)
 
 
 def test_enumerate_matches_oracle_on_wide_rows():
@@ -440,62 +478,67 @@ def test_enumerate_matches_oracle_on_wide_rows():
 
 
 # ---------------------------------------------------------------------------
-# Packed-key kernels of _dense (n <= 16) against row arithmetic
+# Packed-key kernels of _dense against row arithmetic, at every key width
 # ---------------------------------------------------------------------------
 
+_ADD16 = np.frombuffer(ADD, dtype=np.uint8).reshape(16, 16)
+
+# across the uint64/Python-int key boundary at 16/17 symbols and past 64
+WIDE = st.integers(1, 80)
+
+
 @st.composite
-def narrow_rows_and_delta(draw, max_rows=12):
-    width = draw(st.integers(1, 16))
+def rows_and_delta(draw, max_rows=12):
+    width = draw(WIDE)
     cells = st.lists(st.integers(0, 15), min_size=width, max_size=width)
     rows = draw(st.lists(cells, min_size=1, max_size=max_rows))
     return np.array(rows, dtype=np.uint8), np.array(draw(cells), dtype=np.uint8)
 
 
 @settings(max_examples=150, deadline=None)
-@given(narrow_rows_and_delta())
+@given(rows_and_delta())
 @example((np.full((1, 16), 15, dtype=np.uint8), np.full(16, 15, dtype=np.uint8)))
+@example((np.full((1, 17), 15, dtype=np.uint8), np.full(17, 15, dtype=np.uint8)))
+@example((np.full((1, 80), 15, dtype=np.uint8), np.full(80, 15, dtype=np.uint8)))
 def test_key_addition_is_symbolwise_ring_addition(case):
-    # width 16 fills all 64 bits of a key, so every lane mask bit counts
+    # all-15 words set every bit of their keys, so every lane mask bit counts
     rows, d = case
-    keys = _dense._add_keys(_dense._pack(rows), _dense._pack(d.reshape(1, -1))[0])
-    assert np.array_equal(keys, _dense._pack(_dense._ADD16[rows, d]))
+    _, low, high = _dense._key_type(d.size)
+    keys = _dense._add_keys(_dense.pack(rows), _dense.pack(d.reshape(1, -1))[0], low, high)
+    assert np.array_equal(keys, _dense.pack(_ADD16[rows, d]))
+    assert np.array_equal(_dense.unpack(keys, d.size), _ADD16[rows, d])
 
 
 _WORD_MAPS = (_dense.roll_rows, _dense.reverse_rows, _dense.complement_rows, _dense.rc_rows)
 
 
 @settings(max_examples=80, deadline=None)
-@given(word_lists(), st.sampled_from(_WORD_MAPS))
+@given(rows_and_delta(), st.sampled_from(_WORD_MAPS))
 def test_same_set_agrees_with_canonical_comparison(case, word_map):
-    n, words = case
-    rows = _dense.canonical(_rows(words))
+    rows, _ = case
+    width = rows.shape[1]
     # the union of all images is closed under the map, so both answers occur
     closed = rows
-    for _ in range(n):
-        closed = _dense.canonical(np.concatenate([closed, word_map(closed)]))
-    for s in (rows, closed):
-        image = word_map(s)
-        assert _dense.same_set(s, image) == np.array_equal(s, _dense.canonical(image))
-    assert _dense.same_set(closed, word_map(closed))
+    for _ in range(width):
+        closed = _dense.unpack(_dense.canonical(np.concatenate([closed, word_map(closed)])),
+                               width)
+    for s in (_dense.unpack(_dense.canonical(rows), width), closed):
+        keys, image = _dense.canonical(s), word_map(s)
+        assert _dense.same_set(keys, image) == np.array_equal(keys, _dense.canonical(image))
+        assert _dense.same_set(keys, image) == (set(map(bytes, s)) == set(map(bytes, image)))
+    assert _dense.same_set(_dense.canonical(closed), word_map(closed))
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from((3, 7)), st.integers(0, 2**32 - 1))
 def test_key_span_closure_matches_oracle_on_shuffled_vectors(n, seed):
     rng = random.Random(seed)
-    lattice = _divisor_lattice(n)
-    while True:
-        gens = _random_instance(n, 2, lattice, rng)
-        try:
-            enumerate_code(gens, cap=128)
-        except CapExceeded:
-            continue
-        break
-    expected = _sorted_set(_ideal_words(gens))
+    gens, words = _small_instance(n, 128, rng)
+    expected = _sorted_set(words)
     vectors = [word_to_row(word_from_poly(g.shift(i), n))
                for g in generator_polys(gens) if g is not None for i in range(n)]
     rng.shuffle(vectors)
-    assert _words(_dense.span_closure(vectors, len(expected))) == expected
+    assert _key_words(_dense.span_closure(vectors, len(expected)), n) == expected
     if len(expected) > 1:
         with pytest.raises(CapExceeded):
             _dense.span_closure(vectors, len(expected) - 1)
@@ -506,14 +549,14 @@ def test_span_closure_skips_vectors_already_in_the_span(monkeypatch):
     calls = []
     add_keys = _dense._add_keys
 
-    def counted(keys, d):
+    def counted(keys, d, *masks):
         calls.append(d)
-        return add_keys(keys, d)
+        return add_keys(keys, d, *masks)
 
     monkeypatch.setattr(_dense, "_add_keys", counted)
     v = word_to_row(words_of([1, 2, 3, 0, 5]))
     _dense.span_closure([v], 1 << 20)
     alone = len(calls)
     calls.clear()
-    rows = _dense.span_closure([v, _dense._MUL16[2, v], v, _dense._MUL16[5, v]], 1 << 20)
-    assert len(calls) == alone and len(rows) == 16
+    keys = _dense.span_closure([v, _dense._MUL16[2, v], v, _dense._MUL16[5, v]], 1 << 20)
+    assert len(calls) == alone and len(keys) == 16

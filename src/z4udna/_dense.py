@@ -13,6 +13,21 @@ int in an object array above that.  The 4 bits of symbol 4a + b are two
 so packed words add lane-wise with no table and no unpacking
 (``_add_keys``), under lane masks of the key's own type and width.  The
 same arithmetic serves both key types; nothing else depends on the width.
+
+The word maps of the closure predicates work on keys too.  The cyclic
+shift is a 4-bit rotation, ``(k >> 4) | ((k & 15) << 4(n-1))``.  The
+complement (1+u) - x is ``k ^ low``, since 1 - v = v xor 1 in each Z4
+lane.  Reversal swaps the nibbles of each byte, then ``byteswap`` reverses
+the bytes and a right shift by 4(16 - n) drops the unused low end; above
+16 symbols it goes through rows.  RC is the reverse of the complement.
+A map permutes words, so a set is closed under it iff the sorted image
+keys equal the keys (``same_set``).
+
+``span_closure`` grows a set S one vector v at a time: S + Rv is the
+union of the cosets S + d over the multiples d of v, and a coset is
+either inside the running union or disjoint from it.  So a multiple the
+running union already holds is skipped, and each ``np.union1d`` merges a
+new coset.
 """
 
 from __future__ import annotations
@@ -20,12 +35,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceeded
-from .ring import COMPLEMENT, MUL
+from .ring import MUL
 
 _PACK_LIMIT = 16  # max word width (symbols) that fits one uint64 key
 
 _MUL16 = np.frombuffer(MUL, dtype=np.uint8).reshape(16, 16)
-_COMPLEMENT = np.frombuffer(COMPLEMENT, dtype=np.uint8)
+_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)  # the low nibble of every byte
 
 
 def _key_type(width: int):
@@ -68,7 +83,7 @@ def _add_keys(keys: np.ndarray, d, low, high) -> np.ndarray:
 
 def has_key(keys: np.ndarray, key) -> bool:
     """Membership in a sorted key array."""
-    i = np.searchsorted(keys, key)
+    i = keys.searchsorted(key)
     return bool(i < keys.size and keys[i] == key)
 
 
@@ -77,15 +92,36 @@ def canonical(rows: np.ndarray) -> np.ndarray:
     return np.unique(pack(rows))
 
 
-def same_set(keys: np.ndarray, image_rows: np.ndarray) -> bool:
-    """Whether ``image_rows`` holds exactly the words of sorted ``keys``.
+def same_set(keys: np.ndarray, image_keys: np.ndarray) -> bool:
+    """Whether ``image_keys`` pack exactly the words of sorted ``keys``.
 
-    ``image_rows`` must be the image of the set under a map that permutes
-    words (roll, reverse, complement, RC), so its rows are distinct and as
-    many as the set's; sorting their keys is then enough, with no
-    deduplication.
+    ``image_keys`` must be the image of the set under a map that permutes
+    words (roll, reverse, complement, RC), so they are distinct and as
+    many as the set's; sorting them is then enough, with no deduplication.
     """
-    return np.array_equal(keys, np.sort(pack(image_rows)))
+    return np.array_equal(keys, np.sort(image_keys))
+
+
+def roll_keys(keys: np.ndarray, width: int) -> np.ndarray:
+    """Right cyclic shift by one symbol: the last nibble moves to the top."""
+    return (keys >> 4) | ((keys & 15) << (4 * (width - 1)))
+
+
+def reverse_keys(keys: np.ndarray, width: int) -> np.ndarray:
+    """Each word read backwards."""
+    if width > _PACK_LIMIT:
+        return pack(unpack(keys, width)[:, ::-1])
+    swapped = ((keys & _NIBBLES) << 4) | ((keys >> 4) & _NIBBLES)
+    return swapped.byteswap() >> (4 * (_PACK_LIMIT - width))
+
+
+def complement_keys(keys: np.ndarray, width: int) -> np.ndarray:
+    """(1+u) - x symbolwise: 1 - v in each Z4 lane, which is v xor 1."""
+    return keys ^ _key_type(width)[1]
+
+
+def rc_keys(keys: np.ndarray, width: int) -> np.ndarray:
+    return reverse_keys(complement_keys(keys, width), width)
 
 
 def span_closure(vectors, cap: int) -> np.ndarray:
@@ -94,39 +130,30 @@ def span_closure(vectors, cap: int) -> np.ndarray:
 
     The span is shift-closed only if the vectors are (``enumerate_code``
     passes all n shifts of each generator).  Each step replaces the running
-    set S by S + R*v; since S starts as the zero module and module sums
-    stay modules, a vector already in S can be skipped outright, and one
-    pass over the vectors is enough.  Raises CapExceeded as soon as the set
-    outgrows ``cap``.
+    set S by S + R*v, merging the cosets S + d one multiple d at a time in
+    key order; since S starts as the zero module and module sums stay
+    modules, a multiple the union already holds brings a coset it already
+    contains and is skipped, and one pass over the vectors is enough.
+    Raises CapExceeded as soon as the set outgrows ``cap``.
     """
-    width = vectors[0].size
+    vectors = np.asarray(vectors, dtype=np.uint8)
+    count, width = vectors.shape
     _, low, high = _key_type(width)
+    # row j: the 16 multiples of vector j, in key order, each marked if it
+    # is the first of its value
+    orbits = np.sort(pack(_MUL16[:, vectors].reshape(-1, width)).reshape(16, count), axis=0).T
+    first = np.ones(orbits.shape, dtype=bool)
+    first[:, 1:] = orbits[:, 1:] != orbits[:, :-1]
     keys = pack(np.zeros((1, width), dtype=np.uint8))
-    for v in vectors:
-        if has_key(keys, pack(v.reshape(1, -1))[0]):
-            continue
-        acc = keys  # the translate by the zero multiple, the smallest key
-        for d in np.unique(pack(_MUL16[:, v]))[1:]:
+    for multiples, once in zip(orbits, first):
+        # the distinct multiples outside S; the first of them opens a coset
+        outside = keys[keys.searchsorted(multiples).clip(max=keys.size - 1)] != multiples
+        acc = keys
+        for d in multiples[once & outside]:
+            if acc is not keys and has_key(acc, d):
+                continue
             acc = np.union1d(acc, _add_keys(keys, d, low, high))
             if acc.size > cap:
                 raise CapExceeded(f"code grew past cap={cap}")
         keys = acc
     return keys
-
-
-def roll_rows(rows: np.ndarray, shift: int = 1) -> np.ndarray:
-    """Cyclic shift by ``shift`` symbols (right rotation for +1)."""
-    return np.roll(rows, shift, axis=1)
-
-
-def reverse_rows(rows: np.ndarray) -> np.ndarray:
-    return rows[:, ::-1]
-
-
-def complement_rows(rows: np.ndarray) -> np.ndarray:
-    """(1+u) - x symbolwise."""
-    return _COMPLEMENT[rows]
-
-
-def rc_rows(rows: np.ndarray) -> np.ndarray:
-    return reverse_rows(complement_rows(rows))

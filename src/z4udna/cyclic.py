@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _dense
 from .errors import InvalidGenerators, TrivialCode, LengthMismatch
-from .poly import Poly, divides, poly_divmod, poly_mod_xn, xn_minus_1
+from .poly import Poly, poly_divmod, poly_mod_xn, xn_minus_1
 from .ring import ALL_ELEMENTS, LEE, RingElem, U
 
 DEFAULT_CAP = 1 << 20
@@ -110,8 +110,12 @@ def validate(gens: GeneratorSet) -> list[str]:
             _, r = poly_divmod(modulus, big)
             if not r.is_zero:
                 problems.append(f"{name_big} does not divide x^{n}-1")
-        if small_ok and not divides(small, big, n):
-            problems.append(f"{name_small} does not divide {name_big}")
+        if small_ok:
+            # literal division too: reduced mod x^n - 1, a big of x^n - 1
+            # is 0, which every polynomial divides
+            _, r = poly_divmod(big, small)
+            if not r.is_zero:
+                problems.append(f"{name_small} does not divide {name_big}")
 
     check_chain("f2", gens.f2, "f1", gens.f1)
     if (gens.f3 is None) != (gens.f4 is None):
@@ -153,7 +157,9 @@ class Code:
     which is the order by the (a, b) pairs of the symbols, so words and
     exports, unpacked from the keys, are deterministic and diffable.
     Membership is a binary search in the keys.  All predicates below are
-    exhaustive checks over the stored set, not algebraic shortcuts.
+    exhaustive checks over the stored set, not algebraic shortcuts: each
+    maps the keys and compares the sorted image with them, so rows are
+    unpacked only for words, exports and distances.
     """
 
     def __init__(self, n: int, keys: np.ndarray, source: Optional[GeneratorSet] = None):
@@ -190,23 +196,22 @@ class Code:
     # -- closure predicates -------------------------------------------------
 
     def is_shift_closed(self) -> bool:
-        return _dense.same_set(self._keys, _dense.roll_rows(self._rows()))
+        return _dense.same_set(self._keys, _dense.roll_keys(self._keys, self.n))
 
     def is_reversible(self) -> bool:
-        return _dense.same_set(self._keys, _dense.reverse_rows(self._rows()))
+        return _dense.same_set(self._keys, _dense.reverse_keys(self._keys, self.n))
 
     def is_complement_closed(self) -> bool:
-        return _dense.same_set(self._keys, _dense.complement_rows(self._rows()))
+        return _dense.same_set(self._keys, _dense.complement_keys(self._keys, self.n))
 
     def is_rc_closed(self) -> bool:
-        return _dense.same_set(self._keys, _dense.rc_rows(self._rows()))
+        return _dense.same_set(self._keys, _dense.rc_keys(self._keys, self.n))
 
     def is_dna_code(self) -> bool:
         """Shift-closed, closed under reverse-complement, with no word
         equal to its own reverse-complement."""
-        rows = self._rows()
-        rc = _dense.rc_rows(rows)
-        if (rc == rows).all(axis=1).any():
+        rc = _dense.rc_keys(self._keys, self.n)
+        if (rc == self._keys).any():
             return False
         return self.is_shift_closed() and _dense.same_set(self._keys, rc)
 
@@ -257,13 +262,10 @@ def enumerate_code(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> Code:
         raise ValueError("cap must be >= 1")
     g_a, g_b = generator_polys(gens)
     n = gens.n
-    vectors = []
-    for g in (g_a, g_b):
-        if g is None:
-            continue
-        base = np.frombuffer(poly_mod_xn(g, n).symbols.ljust(n, b"\0"), dtype=np.uint8)
-        vectors.extend(np.roll(base, i) for i in range(n))
-    code = Code(n, _dense.span_closure(vectors, cap), gens)
+    shifts = (np.arange(n) - np.arange(n)[:, None]) % n  # row i: x^i * g, g rolled by i
+    vectors = [np.frombuffer(poly_mod_xn(g, n).symbols.ljust(n, b"\0"), dtype=np.uint8)[shifts]
+               for g in (g_a, g_b) if g is not None]
+    code = Code(n, _dense.span_closure(np.concatenate(vectors), cap), gens)
     # spanning all n shifts of each generator makes the result an ideal;
     # fail loudly if that ever stops being true
     if not code.is_shift_closed():

@@ -68,6 +68,13 @@ def test_build_invalid_generators(capsys):
     assert code == 2 and "f2" in err
 
 
+def test_check_rejects_f2_that_does_not_divide_x_n_minus_1(capsys):
+    # f1 = x^3 - 1 reduces to 0 mod x^3 - 1; f2 = x^5 + 1 must still be refused
+    code, out, err = run(capsys, "check", "--n", "3", "--f1", "3,0,0,1",
+                         "--f2", "1,0,0,0,0,1", "--property", "thm31")
+    assert (code, out, err) == (2, "", "error: f2 does not divide f1\n")
+
+
 def test_build_cap_exceeded(capsys):
     code, _, err = run(capsys, "build", "--n", "3", "--f1", "1",
                        "--f2", "1", "--cap", "10")

@@ -28,7 +28,7 @@ from z4udna.cyclic import (
 )
 from z4udna.errors import CapExceeded, InvalidGenerators, LengthMismatch, TrivialCode
 from z4udna.poly import Poly, divides, factor_xn_minus_1_z4, poly_divmod, xn_minus_1
-from z4udna.ring import ADD, ALL_ELEMENTS, RingElem
+from z4udna.ring import ADD, ALL_ELEMENTS, COMPLEMENT, RingElem
 
 R = RingElem
 G2_3 = Poly.parse("1,1,1")
@@ -81,6 +81,17 @@ def test_validate():
     assert any("together" in v for v in validate(half_pair))
     big_f14 = GeneratorSet(3, G2_3, G2_3, Poly.parse("0,0,0,1"))
     assert any("f14" in v for v in validate(big_f14))
+
+
+def test_validate_divides_the_chain_literally():
+    # reduced mod x^3 - 1, f1 = x^3 - 1 is 0, which every polynomial divides
+    x3 = xn_minus_1(3)
+    for small in (Poly.parse("1,0,0,0,0,1"), Poly.parse("2,1")):  # x^5 + 1, x + 2
+        assert validate(GeneratorSet(3, x3, small)) == ["f2 does not divide f1"]
+        assert validate(GeneratorSet(3, G2_3, G2_3, Poly(), x3, small)) == [
+            "f4 does not divide f3"]
+    assert validate(GeneratorSet(3, x3, x3)) == []
+    assert validate(GeneratorSet(3, x3, G2_3, Poly(), x3, Poly.parse("3,1"))) == []
 
 
 def test_generator_polys():
@@ -174,7 +185,7 @@ def test_span_closure_order_independent():
     for g in (g_a, g_b):
         base = word_to_row(word_from_poly(g, 3))
         for i in range(3):
-            vectors.append(_dense.roll_rows(base.reshape(1, -1), i)[0])
+            vectors.append(roll_rows(base.reshape(1, -1), i)[0])
     reference = _dense.span_closure(vectors, 1 << 20)
     rng = random.Random(5)
     for _ in range(5):
@@ -327,8 +338,8 @@ elements = st.builds(RingElem, st.integers(0, 3), st.integers(0, 3))
 
 
 @st.composite
-def word_lists(draw, max_words=12):
-    n = draw(st.sampled_from(LENGTHS))
+def word_lists(draw, max_words=12, lengths=LENGTHS):
+    n = draw(st.sampled_from(lengths))
     word = st.lists(elements, min_size=n, max_size=n).map(tuple)
     return n, draw(st.lists(word, min_size=1, max_size=max_words))
 
@@ -350,6 +361,29 @@ def _sorted_set(words):
     return sorted(set(words), key=lambda w: [(c.a, c.b) for c in w])
 
 
+# Word maps on symbol rows: the reference for the key maps of _dense.
+
+def roll_rows(rows, shift=1):
+    """Cyclic shift by ``shift`` symbols (right rotation for +1)."""
+    return np.roll(rows, shift, axis=1)
+
+
+def reverse_rows(rows):
+    return rows[:, ::-1]
+
+
+_COMPLEMENT = np.frombuffer(COMPLEMENT, dtype=np.uint8)
+
+
+def complement_rows(rows):
+    """(1+u) - x symbolwise."""
+    return _COMPLEMENT[rows]
+
+
+def rc_rows(rows):
+    return reverse_rows(complement_rows(rows))
+
+
 @settings(max_examples=80, deadline=None)
 @given(word_lists())
 def test_canonical_sorts_by_symbol_pairs(case):
@@ -362,13 +396,46 @@ def test_canonical_sorts_by_symbol_pairs(case):
 def test_row_maps_match_word_maps(case, shift):
     n, words = case
     rows = _rows(words)
-    assert _words(_dense.complement_rows(rows)) == [complement_word(w) for w in words]
-    assert _words(_dense.reverse_rows(rows)) == [reverse_word(w) for w in words]
-    assert _words(_dense.rc_rows(rows)) == [reverse_complement(w) for w in words]
+    assert _words(complement_rows(rows)) == [complement_word(w) for w in words]
+    assert _words(reverse_rows(rows)) == [reverse_word(w) for w in words]
+    assert _words(rc_rows(rows)) == [reverse_complement(w) for w in words]
     shifted = words
     for _ in range(shift % n):
         shifted = [cyclic_shift(w) for w in shifted]
-    assert _words(_dense.roll_rows(rows, shift)) == shifted
+    assert _words(roll_rows(rows, shift)) == shifted
+
+
+# the key types' sides at 16/17 symbols (16 is where reversal shifts by 0)
+# and past 64 bits
+KEY_LENGTHS = LENGTHS + (80,)
+
+_KEY_MAPS = {
+    "roll": (_dense.roll_keys, cyclic_shift),
+    "reverse": (_dense.reverse_keys, reverse_word),
+    "complement": (_dense.complement_keys, complement_word),
+    "rc": (_dense.rc_keys, reverse_complement),
+}
+
+
+def _distinct_symbols(n):
+    return n, [tuple(ALL_ELEMENTS[k % 16] for k in range(n))]
+
+
+@pytest.mark.parametrize("name", sorted(_KEY_MAPS))
+@settings(max_examples=60, deadline=None)
+@given(word_lists(lengths=KEY_LENGTHS), st.integers(1, 25))
+@example(_distinct_symbols(16), 1)
+@example(_distinct_symbols(17), 1)
+@example(_distinct_symbols(80), 1)
+def test_key_maps_match_word_maps(name, case, times):
+    key_map, word_map = _KEY_MAPS[name]
+    n, words = case
+    keys = _dense.pack(_rows(words))
+    for _ in range(times):
+        keys = key_map(keys, n)
+        words = [word_map(w) for w in words]
+    assert keys.dtype == _dense.pack(_rows(words)).dtype
+    assert _key_words(keys, n) == words
 
 
 @settings(max_examples=80, deadline=None)
@@ -509,24 +576,25 @@ def test_key_addition_is_symbolwise_ring_addition(case):
     assert np.array_equal(_dense.unpack(keys, d.size), _ADD16[rows, d])
 
 
-_WORD_MAPS = (_dense.roll_rows, _dense.reverse_rows, _dense.complement_rows, _dense.rc_rows)
+_KEY_MAP_FUNCTIONS = tuple(key_map for key_map, _ in _KEY_MAPS.values())
 
 
 @settings(max_examples=80, deadline=None)
-@given(rows_and_delta(), st.sampled_from(_WORD_MAPS))
-def test_same_set_agrees_with_canonical_comparison(case, word_map):
+@given(rows_and_delta(), st.sampled_from(_KEY_MAP_FUNCTIONS))
+def test_same_set_agrees_with_canonical_comparison(case, key_map):
     rows, _ = case
     width = rows.shape[1]
     # the union of all images is closed under the map, so both answers occur
-    closed = rows
+    closed = _dense.canonical(rows)
     for _ in range(width):
-        closed = _dense.unpack(_dense.canonical(np.concatenate([closed, word_map(closed)])),
-                               width)
-    for s in (_dense.unpack(_dense.canonical(rows), width), closed):
-        keys, image = _dense.canonical(s), word_map(s)
-        assert _dense.same_set(keys, image) == np.array_equal(keys, _dense.canonical(image))
-        assert _dense.same_set(keys, image) == (set(map(bytes, s)) == set(map(bytes, image)))
-    assert _dense.same_set(_dense.canonical(closed), word_map(closed))
+        closed = np.union1d(closed, key_map(closed, width))
+    for keys in (_dense.canonical(rows), closed):
+        image = key_map(keys, width)
+        assert _dense.same_set(keys, image) == np.array_equal(keys, np.unique(image))
+        as_rows = set(map(bytes, _dense.unpack(keys, width)))
+        assert _dense.same_set(keys, image) == (
+            as_rows == set(map(bytes, _dense.unpack(image, width))))
+    assert _dense.same_set(closed, key_map(closed, width))
 
 
 @settings(max_examples=15, deadline=None)
@@ -538,7 +606,22 @@ def test_key_span_closure_matches_oracle_on_shuffled_vectors(n, seed):
     vectors = [word_to_row(word_from_poly(g.shift(i), n))
                for g in generator_polys(gens) if g is not None for i in range(n)]
     rng.shuffle(vectors)
-    assert _key_words(_dense.span_closure(vectors, len(expected)), n) == expected
+    sizes = [1] + [_dense.span_closure(vectors[:j], 1 << 20).size
+                   for j in range(1, len(vectors) + 1)]
+    # S + Rv is |S + Rv| / |S| cosets of S, and S is already there: a
+    # multiple whose coset the union holds is not merged
+    merged = []
+    add_keys = _dense._add_keys
+
+    def counted(keys, d, *masks):
+        merged.append(d)
+        return add_keys(keys, d, *masks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_dense, "_add_keys", counted)
+        keys = _dense.span_closure(vectors, len(expected))
+    assert _key_words(keys, n) == expected
+    assert len(merged) == sum(after // before - 1 for before, after in zip(sizes, sizes[1:]))
     if len(expected) > 1:
         with pytest.raises(CapExceeded):
             _dense.span_closure(vectors, len(expected) - 1)

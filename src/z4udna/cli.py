@@ -21,26 +21,11 @@ from .cyclic import (
     enumerate_code,
     render_code_export,
 )
-from .errors import (
-    BadAlphabet,
-    CapExceeded,
-    InvalidGenerators,
-    LengthMismatch,
-    NotAFactor,
-    NonUnitLeadingCoefficient,
-    OddLength,
-    TrivialCode,
-    UnsupportedLength,
-    WrongForm,
-    ZeroPolynomial,
-)
+from .errors import CapExceeded, InvalidGenerators, UnsupportedLength, Z4uError
 from .poly import Poly, factor_xn_minus_1_f2, factor_xn_minus_1_z4
 
-_USAGE_ERRORS = (
-    InvalidGenerators, UnsupportedLength, WrongForm, TrivialCode,
-    LengthMismatch, BadAlphabet, OddLength, NotAFactor,
-    NonUnitLeadingCoefficient, ZeroPolynomial, ValueError, OSError,
-)
+# Caught after CapExceeded, the one Z4uError that exits 3 instead.
+_USAGE_ERRORS = (Z4uError, ValueError, OSError)
 
 CHECK_PROPERTIES = ("reversible", "rc", "dna", "thm31", "thm32", "thm41", "thm42")
 
@@ -105,8 +90,7 @@ def cmd_check(args) -> int:
                    "thm32": conditions.check_reversible_double,
                    "thm41": conditions.check_rc_single,
                    "thm42": conditions.check_rc_double}[prop]
-        report = (checker(gens, cap=args.cap) if prop in ("thm41", "thm42")
-                  else checker(gens))
+        report = checker(gens)
         verdict = report.satisfied
         lines += [
             f"theorem={report.theorem}",

@@ -8,6 +8,8 @@ Four named condition sets are evaluated on a generator tuple:
   j = deg f1 - deg f14.
 * ``T41`` / ``T42``: the same conditions plus membership of the word with
   every symbol 3+3u, which is the reverse-complement of the zero word.
+  Membership is decided from f1(1) being a unit, without enumerating the
+  code, so no condition check has a cap or can exceed one.
 
 Equalities are tested literally after reduction mod x^n - 1; when a
 condition fails literally but holds up to a unit factor, that is recorded
@@ -162,27 +164,31 @@ def check_reversible_double(gens: GeneratorSet) -> ConditionReport:
 
 
 def _with_membership(report: ConditionReport, theorem: str,
-                     gens: GeneratorSet, cap: int,
-                     code: Optional[Code]) -> ConditionReport:
-    if code is None:
-        code = enumerate_code(gens, cap)
+                     gens: GeneratorSet) -> ConditionReport:
+    """Add the clause "the all-(3+3u) word is in the code", decided from f1(1).
+
+    For odd n, x - 1 and theta = (x^n - 1)/(x - 1) are coprime (theta(1) = n
+    is a unit), so R[x]/(x^n - 1) = R x R[x]/(theta).  The word is
+    (3+3u)*theta, which maps to (a unit, 0); it lies in the code iff the
+    generators evaluated at 1 span R.  R is local, u*f3 + 2u*f4 is in uR at
+    1, and 2f2(1) + 2u*f14(1) is not a unit, so that holds iff f1(1) is a
+    unit: iff the Z4 parts a = s >> 2 of f1's coefficients have an odd sum.
+    """
     failures = list(report.failures)
-    if (ALL_ELEMENTS[15],) * gens.n not in code:  # 3+3u
+    if not sum(s >> 2 for s in gens.f1.symbols) & 1:
         failures.append("membership: the all-(3+3u) word is not in the code")
     return ConditionReport(theorem, not failures, report.i_shift, report.j_shift,
                            report.branch, tuple(failures), report.notes)
 
 
-def check_rc_single(gens: GeneratorSet, cap: int = DEFAULT_CAP,
-                    code: Optional[Code] = None) -> ConditionReport:
+def check_rc_single(gens: GeneratorSet) -> ConditionReport:
     """Condition set T41: T31 plus membership of the all-(3+3u) word."""
-    return _with_membership(check_reversible_single(gens), "T41", gens, cap, code)
+    return _with_membership(check_reversible_single(gens), "T41", gens)
 
 
-def check_rc_double(gens: GeneratorSet, cap: int = DEFAULT_CAP,
-                    code: Optional[Code] = None) -> ConditionReport:
+def check_rc_double(gens: GeneratorSet) -> ConditionReport:
     """Condition set T42: T32 plus membership of the all-(3+3u) word."""
-    return _with_membership(check_reversible_double(gens), "T42", gens, cap, code)
+    return _with_membership(check_reversible_double(gens), "T42", gens)
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +207,18 @@ def _erratum_name(gens: GeneratorSet, prop: str) -> str:
     return f"erratum-n{gens.n}-{prop}-{digest}"
 
 
-def predict(gens: GeneratorSet, prop: str, cap: int = DEFAULT_CAP,
-            code: Optional[Code] = None) -> ConditionReport:
+def predict(gens: GeneratorSet, prop: str) -> ConditionReport:
     """The condition report relevant to a property and generator form."""
     single = gens.f3 is None
     if prop == "reversible":
         return check_reversible_single(gens) if single else check_reversible_double(gens)
     if prop == "rc_closed":
-        return (check_rc_single(gens, cap, code) if single
-                else check_rc_double(gens, cap, code))
+        return check_rc_single(gens) if single else check_rc_double(gens)
     raise ValueError(f"unknown property {prop!r}")
 
 
 def _crossval_with_code(gens: GeneratorSet, prop: str, code: Code) -> CrossValReport:
-    predicted = predict(gens, prop, code=code).satisfied
+    predicted = predict(gens, prop).satisfied
     observed = code.is_reversible() if prop == "reversible" else code.is_rc_closed()
     agree = predicted == observed
     return CrossValReport(gens, prop, predicted, observed, agree,

@@ -246,9 +246,6 @@ class Code:
         """Binary strings of length 4n, in canonical word order."""
         return self._render("gray")
 
-    def gray_image(self) -> set[str]:
-        return set(self.gray_words())
-
 
 def enumerate_code(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> Code:
     """Exact enumeration of the ideal generated by the generator tuple.

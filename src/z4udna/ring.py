@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 
 # 2-adic digits of c in Z4: c = alpha + 2*beta, and gamma = alpha + beta mod 2.
-ALPHA = (0, 1, 0, 1)
 BETA = (0, 0, 1, 1)
 GAMMA = (0, 1, 1, 0)
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from z4udna import cli
 from z4udna.cli import main
+from z4udna.errors import CapExceeded, Z4uError
 
 T3_WORDS = {
     "AAAAAA", "TTTTTT", "CCCCCC", "GGGGGG",
@@ -104,6 +106,29 @@ def test_check_properties(capsys):
                        "--f2", "3,0,0,1", "--property", "rc")
     assert code == 1
     assert out.splitlines()[-1] == "result=false"
+
+
+@pytest.mark.parametrize("gens, prop", [
+    (("--f1", "1", "--f2", "1"), "thm41"),
+    (("--f1", "1", "--f2", "1", "--f3", "1", "--f4", "1"), "thm42"),
+], ids=["thm41", "thm42"])
+def test_rc_theorems_ignore_the_cap(capsys, gens, prop):
+    # the code has 2^28 words, but T41/T42 never enumerate it
+    code, out, err = run(capsys, "check", "--n", "7", *gens, "--property", prop,
+                         "--cap", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "result=true"
+
+
+@pytest.mark.parametrize("error", [Z4uError, *Z4uError.__subclasses__()],
+                         ids=lambda e: e.__name__)
+def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("boom")
+    monkeypatch.setattr(cli, "cmd_factor", fail)
+    code, out, err = run(capsys, "factor", "--n", "3")
+    assert code == (3 if error is CapExceeded else 2)
+    assert (out, err) == ("", "error: boom\n")
 
 
 def test_check_form_mismatch(capsys):

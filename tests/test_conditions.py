@@ -19,6 +19,7 @@ from z4udna.conditions import (
 from z4udna.cyclic import GeneratorSet, enumerate_code
 from z4udna.errors import CapExceeded, InvalidGenerators, WrongForm
 from z4udna.poly import Poly, self_reciprocal_constant, xn_minus_1
+from z4udna.ring import RingElem
 
 G2_3 = Poly.parse("1,1,1")
 EX_61I = GeneratorSet(3, G2_3, G2_3)
@@ -194,7 +195,7 @@ def test_conditions_are_sound_on_the_exhaustive_length7_lattice():
         enumerated += 1
         observed = {"reversible": code.is_reversible(), "rc_closed": code.is_rc_closed()}
         for prop in PROPERTIES:
-            report = predict(gens, prop, code=code)
+            report = predict(gens, prop)
             if report.satisfied and not observed[prop]:
                 wrong[report.theorem, prop] += 1
                 # the known T32 defect (ROADMAP, "Bug: T32 and T42 accept
@@ -204,3 +205,28 @@ def test_conditions_are_sound_on_the_exhaustive_length7_lattice():
     # T31/T41 never predict a property the code lacks; fixing the T32 bug
     # takes both of these counts to 0
     assert wrong == {("T32", "reversible"): 48, ("T42", "rc_closed"): 12}
+
+
+@pytest.mark.parametrize("n, max_f14_degree, cap, expected", [
+    # the whole n=3 lattice with f14 of degree <= 1: 1440 tuples
+    (3, 1, 1 << 12, {("single", True): 48, ("double", True): 432,
+                     ("single", False): 96, ("double", False): 864}),
+    # the 229 n=7 codes of at most 2^8 words, f14 of degree 0
+    (7, 0, 1 << 8, {("single", True): 3, ("double", True): 27,
+                    ("single", False): 20, ("double", False): 179}),
+], ids=["n3", "n7"])
+def test_membership_clause_matches_enumeration(n, max_f14_degree, cap, expected):
+    # T41/T42 decide "the all-(3+3u) word is in the code" from f1(1) alone;
+    # the enumerated code must agree on every tuple, in and out of the code
+    all_3_3u = (RingElem(3, 3),) * n
+    seen = Counter()
+    for gens in _exhaustive_instances(n, max_f14_degree):
+        try:
+            code = enumerate_code(gens, cap)
+        except CapExceeded:
+            continue
+        report = predict(gens, "rc_closed")
+        claimed = "membership: the all-(3+3u) word is not in the code" not in report.failures
+        assert claimed == (all_3_3u in code), gens
+        seen["single" if gens.f3 is None else "double", claimed] += 1
+    assert seen == expected

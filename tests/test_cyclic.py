@@ -238,7 +238,7 @@ def test_gray_image():
     tt = Code.from_words(3, [words_of([(1, 1)] * 3)])
     assert tt.gray_words() == ["011101110111"]
     code = enumerate_code(EX_61I)
-    assert len(code.gray_image()) == len(code)
+    assert len(set(code.gray_words())) == len(code)
 
 
 def test_quasi_cyclic_index4():

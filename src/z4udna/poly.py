@@ -4,7 +4,11 @@
 degree, no trailing zeros, the zero polynomial being the empty sequence.
 Division works whenever the divisor has a unit leading coefficient, which
 is all the divisibility conditions downstream ever need (their divisors
-are monic).
+are monic).  The product of two polynomials is taken by Kronecker
+substitution: the Z4 parts and the u parts of each operand are packed into
+Python ints, one fixed-width slot per coefficient, so three big-int
+products give a*c and a*d + b*c, and the low two bits of each slot are
+the coefficients of (a + ub)(c + ud) = ac + u(ad + bc).
 
 ``BinPoly`` is a GF(2) polynomial stored as an integer bitmask (bit k is
 the coefficient of x^k).  The distinct irreducible factors of x^n - 1 over
@@ -43,6 +47,19 @@ def _add(x, y) -> bytes:
     if len(x) < len(y):
         x, y = y, x
     return bytes([ADD[i << 4 | j] for i, j in zip(x, y)]) + x[len(y):]
+
+
+# bytes.translate tables: the Z4 part a and the u part b of a symbol 4a + b.
+_Z4_PART = bytes(k >> 2 & 3 for k in range(256))
+_U_PART = bytes(k & 3 for k in range(256))
+
+
+def _pack(s: bytes, part: bytes, width: int) -> int:
+    """One int holding part[s[i]] in the i-th slot of ``width`` bytes,
+    lowest slot first."""
+    slots = bytearray(len(s) * width)
+    slots[::width] = s.translate(part)
+    return int.from_bytes(slots, "little")
 
 
 def _poly(symbols) -> "Poly":
@@ -116,11 +133,18 @@ class Poly:
         x, y = self.symbols, other.symbols
         if not x or not y:
             return Poly()
-        out = bytearray(len(x) + len(y) - 1)
-        for i, c in enumerate(x):
-            if c:
-                out[i:i + len(y)] = _add(out[i:i + len(y)], y.translate(SCALE[c]))
-        return _poly(out)
+        # Kronecker substitution: (a + ub)(c + ud) = ac + u(ad + bc), with
+        # each part packed one coefficient to a slot of `width` bytes.  A
+        # slot must hold a coefficient of a*d + b*c, at most
+        # 2 * 3 * 3 * min(len x, len y), so no sum carries into its neighbour.
+        width = ((18 * min(len(x), len(y))).bit_length() + 7) // 8
+        a, b = _pack(x, _Z4_PART, width), _pack(x, _U_PART, width)
+        c, d = _pack(y, _Z4_PART, width), _pack(y, _U_PART, width)
+        size = len(x) + len(y) - 1
+        low2 = int.from_bytes(b"\3".ljust(width, b"\0") * size, "little")
+        ac = a * c & low2
+        ad_bc = (a * d + b * c) & low2
+        return _poly((ac << 2 | ad_bc).to_bytes(size * width, "little")[::width])
 
     __rmul__ = __mul__
 
@@ -419,7 +443,7 @@ def hensel_lift(f: BinPoly, n: int) -> Poly:
     bits = f.coeffs
     even = Poly(bits[0::2])
     odd = Poly(bits[1::2])
-    lifted = even * even - x_pow(1) * odd * odd
+    lifted = even * even - (odd * odd).shift(1)
     if f.degree % 2 == 1:
         lifted = -lifted
     return lifted

@@ -1,12 +1,15 @@
 """Golden digests of what the package prints and exports.
 
-Each digest is the sha256 of the exact bytes: the stdout of a demo, a code
-export in one format, or a DNA codebook.  A change that alters any of them
-by one byte fails here, so a refactor of the enumeration or of the word
-storage can be checked for unchanged output directly.
+Each digest is the sha256 of the exact bytes: the stdout of a demo or of a
+CLI command, a code export in one format, a DNA codebook, the n = 63
+divisor lattice or a sweep report.  A change that alters any of them by one
+byte fails here, so a refactor of the enumeration, of the word storage or
+of the polynomial arithmetic can be checked for unchanged output directly.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -15,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import z4udna
-from z4udna import dna
+from z4udna import conditions, dna
+from z4udna.cli import main
 from z4udna.cyclic import GeneratorSet, enumerate_code, render_code_export
 from z4udna.poly import Poly
 
@@ -77,3 +81,34 @@ def test_exports_and_codebook_are_unchanged(name):
     rendered = {fmt: render_code_export(code, fmt) for fmt in ("ring", "dna", "gray")}
     rendered["codebook"] = dna.render_codebook(code.dna_words())
     assert {fmt: _sha256(text) for fmt, text in rendered.items()} == digests
+
+
+def _stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+# name: (text producer, digest); each takes well under a second.
+TEXTS = {
+    "factor-63": (
+        lambda: _stdout_of(["factor", "--n", "63"]),
+        "0d2a90934cbffe2eb075657aed49c428c66c9b4fa28aa07f69e5115efc5b9b38"),
+    "lattice-63": (
+        lambda: "\n".join(map(str, conditions._divisor_lattice(63))),
+        "4f394a4ab00d0295a22e80ef76fe124cf84355d82fee8152997d2b19ade1e5a5"),
+    "sweep-n3": (
+        lambda: conditions.format_sweep_report(conditions.sweep(3, max_f14_degree=0)),
+        "347ea4d090d18d60d69322751ed8d0126f110141a19f8430e18ba29949ff9873"),
+    "sweep-n7": (
+        lambda: conditions.format_sweep_report(
+            conditions.sweep(7, seed=42, samples=10, cap=1 << 12)),
+        "460a1b678b0b94154720327bafa966d0b9e1c75a50fbea927eea6e0e1218dee5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_factoring_lattice_and_sweep_reports_are_unchanged(name):
+    produce, digest = TEXTS[name]
+    assert _sha256(produce()) == digest

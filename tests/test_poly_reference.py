@@ -5,7 +5,7 @@ first, with the ring's own operators and nothing from ``z4udna.poly``.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from z4udna.conditions import (
     check_rc_single,
@@ -135,6 +135,30 @@ def test_mul_by_poly_element_and_int(f, g, m, i):
     assert (Poly(f) * Poly(g)).coeffs == ref_mul(f, g)
     assert (Poly(f) * m).coeffs == (m * Poly(f)).coeffs == trim(c * m for c in f)
     assert (Poly(f) * i).coeffs == (i * Poly(f)).coeffs == trim(c * i for c in f)
+
+
+# Operands as long as the lattice products at n = 63 (up to 64
+# coefficients) and past them, led by zero (a non-canonical trailing zero),
+# a unit or a zero divisor.
+long_lists = st.builds(lambda cs, lead: cs + [lead],
+                       st.integers(0, 139).flatmap(lambda k: st.lists(elems, min_size=k,
+                                                                      max_size=k)),
+                       st.one_of(st.just(ZERO), st.sampled_from(UNITS), non_units))
+
+
+@settings(deadline=None)
+@given(long_lists, long_lists)
+def test_mul_matches_reference_at_lattice_lengths(f, g):
+    assert (Poly(f) * Poly(g)).coeffs == ref_mul(f, g)
+
+
+def test_mul_past_the_two_byte_slot():
+    """4000 coefficients of 3+3u on each side: coefficient k of the
+    square is m_k (3+3u)^2 = m_k (1+2u), m_k = min(k+1, 7999-k) being the
+    number of pairs i + j = k, and the u part reaches 18 * 4000 > 2^16
+    before it is reduced."""
+    f = Poly([RingElem(3, 3)] * 4000)
+    assert (f * f).coeffs == tuple(min(k + 1, 7999 - k) * RingElem(1, 2) for k in range(7999))
 
 
 @given(coeff_lists, st.integers(0, 6))

@@ -1,0 +1,31 @@
+"""The README's library quickstart runs, and prints what its comments say."""
+
+import ast
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quickstart_source() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quickstart", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_quickstart_values_match_their_comments():
+    """Each expression statement ends in a ``# value`` comment: the repr of
+    its value.  The other statements are run as they stand."""
+    source = quickstart_source()
+    lines = source.splitlines()
+    namespace: dict = {}
+    comments = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+            value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+            comments.append(comment)
+            assert repr(value) == comment, ast.unparse(node.value)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert comments == ["16", "3", "True", "True", "3"]

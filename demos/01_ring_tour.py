@@ -3,24 +3,24 @@
 Run:  python3 demos/01_ring_tour.py
 """
 
-from z4udna.ring import ALL_ELEMENTS, RingElem, complement, theta
+from z4udna.ring import ALL_ELEMENTS, RingElem, theta
 
 print("element | codon | gray | lee | unit | complement")
 print("-" * 52)
 for x in ALL_ELEMENTS:
     print(f"{str(x):>7} |  {theta(x)}   | {x.gray_str()} |  {x.lee_weight()}  | "
-          f"{'yes' if x.is_unit() else ' no'}  | {complement(x)}")
+          f"{'yes' if x.is_unit() else ' no'}  | {x.complement()}")
 
 print()
 print("Every element pairs with its complement so that x + comp(x) = 1+u:")
 x = RingElem(2, 3)
-print(f"  {x} + {complement(x)} = {x + complement(x)}")
+print(f"  {x} + {x.complement()} = {x + x.complement()}")
 
 print()
 print("The codon map turns ring complement into letterwise Watson-Crick pairing:")
 for value in (RingElem(0), RingElem(2), RingElem(0, 2)):
     print(f"  theta({str(value):>3}) = {theta(value)}   "
-          f"theta(comp) = {theta(complement(value))}")
+          f"theta(comp) = {theta(value.complement())}")
 
 print()
 print("Gray images carry Lee distance to Hamming distance:")

@@ -11,15 +11,11 @@ from .ring import (
     ALL_ELEMENTS,
     RingElem,
     UNITS,
-    complement,
-    gray,
-    lee_weight,
     psi,
     theta,
     theta_inv,
 )
 from .poly import (
-    BinPoly,
     LENGTH_CAP,
     Poly,
     divides,

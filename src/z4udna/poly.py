@@ -10,11 +10,12 @@ Python ints, one fixed-width slot per coefficient, so three big-int
 products give a*c and a*d + b*c, and the low two bits of each slot are
 the coefficients of (a + ub)(c + ud) = ac + u(ad + bc).
 
-``BinPoly`` is a GF(2) polynomial stored as an integer bitmask (bit k is
-the coefficient of x^k).  The distinct irreducible factors of x^n - 1 over
-F2 (squarefree for odd n) are found by deterministic Berlekamp splitting,
-and each factor is lifted to Z4 by one Graeffe step: split f into even and
-odd parts f(x) = e(x^2) + x*o(x^2) and read the lift off
+The distinct irreducible factors of x^n - 1 over F2 (squarefree for odd
+n) come in closed form from the 2-cyclotomic cosets mod n: each coset's
+indicator is an idempotent, and gcds with the indicators split x^n - 1
+into one factor per coset.  The factors are returned as ``Poly``s with
+coefficients 0 and 1, and each is lifted to Z4 by one Graeffe step: split
+f into even and odd parts f(x) = e(x^2) + x*o(x^2) and read the lift off
 ``+-(e(y)^2 - y*o(y)^2)`` with the sign fixed so the result is monic.
 """
 
@@ -271,72 +272,13 @@ def self_reciprocal_constant(f: Poly):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) polynomials as bitmasks
+# x^n - 1 over F2 (polynomials as bitmasks, bit k the coefficient of x^k)
 # ---------------------------------------------------------------------------
 
-class BinPoly:
-    """GF(2) polynomial; bit k of ``mask`` is the coefficient of x^k."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        mask = 0
-        for k, c in enumerate(coeffs):
-            if int(c) & 1:
-                mask |= 1 << k
-        self.mask = mask
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "BinPoly":
-        p = cls()
-        p.mask = mask
-        return p
-
-    @property
-    def degree(self):
-        return self.mask.bit_length() - 1 if self.mask else None
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        if not self.mask:
-            return ()
-        return tuple((self.mask >> k) & 1 for k in range(self.mask.bit_length()))
-
-    def __eq__(self, other):
-        if not isinstance(other, BinPoly):
-            return NotImplemented
-        return self.mask == other.mask
-
-    def __hash__(self):
-        return hash(self.mask)
-
-    def __str__(self):
-        if not self.mask:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"BinPoly({str(self)!r})"
-
-
-def _f2_deg(a: int) -> int:
-    return a.bit_length() - 1
-
-
-def _f2_mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
 def _f2_mod(a: int, m: int) -> int:
-    dm = _f2_deg(m)
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
+    dm = m.bit_length()
+    while a.bit_length() >= dm:
+        a ^= m << (a.bit_length() - dm)
     return a
 
 
@@ -346,71 +288,6 @@ def _f2_gcd(a: int, b: int) -> int:
     return a
 
 
-def _f2_sort_key(mask: int):
-    # Degree first, then the coefficient sequence read from the top down,
-    # which matches the order the polynomials are conventionally written in.
-    d = _f2_deg(mask)
-    return (d, tuple((mask >> (d - k)) & 1 for k in range(d + 1)))
-
-
-def _berlekamp_squarefree(f: int) -> list[int]:
-    """Distinct irreducible factors of a squarefree f over F2.
-
-    Classic Berlekamp: the fixed points of the Frobenius map v -> v^2 in
-    F2[x]/(f) form a subalgebra whose dimension equals the number of
-    irreducible factors; each basis vector v splits every composite factor
-    through gcd(u, v - c) for c in F2.
-    """
-    d = _f2_deg(f)
-    if d <= 1:
-        return [f]
-    # rows[i] = x^(2i) mod f
-    rows = []
-    cur = 1
-    xsq = _f2_mod(4, f)
-    for _ in range(d):
-        rows.append(cur)
-        cur = _f2_mod(_f2_mul(cur, xsq), f)
-    # Left null space of (Q + I): combinations of rows that cancel.
-    mrows = [rows[i] ^ (1 << i) for i in range(d)]
-    pivots: dict[int, tuple[int, int]] = {}
-    basis = []
-    for i in range(d):
-        r, tag = mrows[i], 1 << i
-        while r:
-            col = r.bit_length() - 1
-            if col not in pivots:
-                pivots[col] = (r, tag)
-                break
-            pr, pt = pivots[col]
-            r ^= pr
-            tag ^= pt
-        if r == 0:
-            basis.append(tag)
-    count = len(basis)
-    factors = [f]
-    for v in basis:
-        if len(factors) == count:
-            break
-        if v == 1:
-            continue
-        refined = []
-        for u in factors:
-            if _f2_deg(u) <= 1:
-                refined.append(u)
-                continue
-            g = _f2_gcd(u, _f2_mod(v, u))
-            if g in (1, u):
-                refined.append(u)
-                continue
-            h = _f2_gcd(u, _f2_mod(v ^ 1, u))
-            refined.extend((g, h))
-        factors = refined
-    if len(factors) != count:
-        raise RuntimeError("Berlekamp splitting left a composite factor")
-    return factors
-
-
 def _check_length(n: int) -> None:
     if n < 1 or n % 2 == 0 or n > LENGTH_CAP:
         raise UnsupportedLength(f"n must be odd with 1 <= n <= {LENGTH_CAP}, got {n}")
@@ -418,31 +295,60 @@ def _check_length(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _factor_masks(n: int) -> tuple[int, ...]:
-    masks = _berlekamp_squarefree((1 << n) | 1)
-    return tuple(sorted(masks, key=_f2_sort_key))
+    """Bitmasks of the distinct irreducible factors of x^n - 1 over F2,
+    by degree and then by coefficients read from the top down, which for
+    equal degree is the order of the masks as integers.
+
+    For odd n, squaring sends x^i to x^(2i mod n), so the indicators e of
+    the 2-cyclotomic cosets {s, 2s, 4s, ...} mod n span Berlekamp's fixed
+    space, one per irreducible factor (Calderbank & Sloane, DCC 1995).
+    Each e is an idempotent, so every factor u of x^n - 1 splits as
+    gcd(u, e) * gcd(u, e + 1).
+    """
+    cosets, seen = [], 0
+    for s in range(n):
+        e, k = 0, s
+        while not (seen | e) >> k & 1:
+            e |= 1 << k
+            k = 2 * k % n
+        if e:
+            seen |= e
+            cosets.append(e)
+    factors = [1 << n | 1]
+    for e in cosets:
+        if len(factors) == len(cosets):
+            break
+        factors = [g for u in factors for g in (_f2_gcd(u, e), _f2_gcd(u, e ^ 1)) if g != 1]
+    if len(factors) != len(cosets):
+        raise RuntimeError(f"coset splitting of x^{n}-1 left a composite factor")
+    return tuple(sorted(factors))
 
 
-def factor_xn_minus_1_f2(n: int) -> list[BinPoly]:
-    """Distinct monic irreducible factors of x^n - 1 over F2, sorted."""
+def factor_xn_minus_1_f2(n: int) -> list[Poly]:
+    """Distinct irreducible factors of x^n - 1 over F2, sorted, as
+    polynomials with coefficients 0 and 1."""
     _check_length(n)
-    return [BinPoly.from_mask(m) for m in _factor_masks(n)]
+    return [Poly(m >> k & 1 for k in range(m.bit_length())) for m in _factor_masks(n)]
 
 
-def hensel_lift(f: BinPoly, n: int) -> Poly:
-    """The monic Z4 polynomial congruent to f mod 2 that divides x^n - 1.
+def hensel_lift(f: Poly, n: int) -> Poly:
+    """The monic Z4 polynomial congruent to f mod 2 that divides x^n - 1,
+    for f with coefficients 0 and 1 dividing x^n - 1 over F2.
 
     Graeffe step: with f(x) = e(x^2) + x*o(x^2), the lift is
     +-(e(y)^2 - y*o(y)^2), negated when deg f is odd so that it comes out
     monic.
     """
     _check_length(n)
-    if not f.mask:
+    if f.symbols.translate(None, b"\0\4"):
+        raise NotAFactor(f"{f} has a coefficient other than 0 and 1")
+    if f.is_zero:
         raise NotAFactor("zero polynomial is not a factor")
-    if _f2_mod((1 << n) | 1, f.mask):
+    mask = sum(1 << k for k, c in enumerate(f.symbols) if c)
+    if _f2_mod(1 << n | 1, mask):
         raise NotAFactor(f"{f} does not divide x^{n}-1 over F2")
-    bits = f.coeffs
-    even = Poly(bits[0::2])
-    odd = Poly(bits[1::2])
+    even = _poly(f.symbols[0::2])
+    odd = _poly(f.symbols[1::2])
     lifted = even * even - (odd * odd).shift(1)
     if f.degree % 2 == 1:
         lifted = -lifted

@@ -194,22 +194,10 @@ def solve_unit(x: int, y: int) -> int | None:
     return MUL[y << 4 | inv] if inv else None
 
 
-def complement(x: RingElem) -> RingElem:
-    return x.complement()
-
-
 def psi(c: int) -> tuple[int, int]:
     """Z4 Gray pair (beta(c), gamma(c)): 0->00, 1->01, 2->11, 3->10."""
     c %= 4
     return (BETA[c], GAMMA[c])
-
-
-def gray(x: RingElem) -> tuple[int, int, int, int]:
-    return x.gray_bits()
-
-
-def lee_weight(x: RingElem) -> int:
-    return x.lee_weight()
 
 
 def theta(x: RingElem) -> str:

@@ -31,7 +31,7 @@ from z4udna.poly import (
     reciprocal,
     xn_minus_1,
 )
-from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS, complement, gray, lee_weight, theta
+from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS, theta
 
 ONE_PLUS_U = RingElem(1, 1)
 WCC = {"A": "T", "T": "A", "C": "G", "G": "C"}
@@ -74,16 +74,16 @@ def test_acceptance_01_complement_identities():
     t0 = time.perf_counter()
     three = RingElem(3) * ONE_PLUS_U
     two = RingElem(2) * ONE_PLUS_U
-    ok = all(x + complement(x) == ONE_PLUS_U for x in ALL_ELEMENTS)
-    ok &= all(complement(x + y) == complement(x) + complement(y) + three
+    ok = all(x + x.complement() == ONE_PLUS_U for x in ALL_ELEMENTS)
+    ok &= all((x + y).complement() == x.complement() + y.complement() + three
               for x, y in itertools.product(ALL_ELEMENTS, repeat=2))
-    ok &= all(complement(x + y + z) ==
-              complement(x) + complement(y) + complement(z) + two
+    ok &= all((x + y + z).complement() ==
+              x.complement() + y.complement() + z.complement() + two
               for x, y, z in itertools.product(ALL_ELEMENTS, repeat=3))
-    ok &= all(complement(RingElem(0, 2) * RingElem(a)) + three == RingElem(0, 2) * RingElem(a)
+    ok &= all((RingElem(0, 2) * RingElem(a)).complement() + three == RingElem(0, 2) * RingElem(a)
               for a in range(4))
-    ok &= all(complement(RingElem(2) * x) + three == RingElem(2) * x for x in ALL_ELEMENTS)
-    ok &= all(complement(x) + three == RingElem(3) * x for x in ALL_ELEMENTS)
+    ok &= all((RingElem(2) * x).complement() + three == RingElem(2) * x for x in ALL_ELEMENTS)
+    ok &= all(x.complement() + three == RingElem(3) * x for x in ALL_ELEMENTS)
     elapsed_ok = time.perf_counter() - t0 < 1.0
     _report("complement identities, exhaustive over 16/256/4096/4/16 cases",
             ok and elapsed_ok, t0)
@@ -93,7 +93,7 @@ def test_acceptance_02_codon_table_fidelity():
     t0 = time.perf_counter()
     codons = {theta(x) for x in ALL_ELEMENTS}
     ok = len(codons) == 16
-    ok &= all(theta(complement(x)) == "".join(WCC[ch] for ch in theta(x))
+    ok &= all(theta(x.complement()) == "".join(WCC[ch] for ch in theta(x))
               for x in ALL_ELEMENTS)
     ok &= dna.letterwise_complement("GCATAG") == "CGTATC"
     _report("codon table is a WCC-compatible bijection (incl. GCATAG -> CGTATC)",
@@ -104,8 +104,8 @@ def test_acceptance_03_gray_table_and_isometry():
     t0 = time.perf_counter()
     ok = all(x.gray_str() == CATALOG_GRAY[theta(x)] for x in ALL_ELEMENTS)
     for x, y in itertools.product(ALL_ELEMENTS, repeat=2):
-        hamming = sum(1 for bx, by in zip(gray(x), gray(y)) if bx != by)
-        ok &= lee_weight(x - y) == hamming
+        hamming = sum(1 for bx, by in zip(x.gray_bits(), y.gray_bits()) if bx != by)
+        ok &= (x - y).lee_weight() == hamming
     _report("4-bit images bit-exact for all 16 codons; Lee/Hamming isometry on 256 pairs",
             ok and time.perf_counter() - t0 < 1.0, t0)
 

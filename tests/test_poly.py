@@ -11,7 +11,6 @@ from z4udna.errors import (
     ZeroPolynomial,
 )
 from z4udna.poly import (
-    BinPoly,
     Poly,
     divides,
     factor_xn_minus_1_f2,
@@ -156,11 +155,17 @@ def test_factor_rejects_unsupported_lengths(bad_n):
 
 
 def test_hensel_lift_examples():
-    assert hensel_lift(BinPoly([1, 1]), 7) == Poly.parse("3,1")
-    assert hensel_lift(BinPoly([1, 1, 0, 1]), 7) == G2
-    assert hensel_lift(BinPoly([1, 0, 1, 1]), 7) == G3
+    assert hensel_lift(Poly.parse("1,1"), 7) == Poly.parse("3,1")
+    assert hensel_lift(Poly.parse("1,1,0,1"), 7) == G2
+    assert hensel_lift(Poly.parse("1,0,1,1"), 7) == G3
+
+
+# Coefficients 2, u and 3 are refused even where the polynomial reduces
+# mod 2 to a factor of x^7 - 1 (1,1,0,1 and 1,1).
+@pytest.mark.parametrize("text", ["1,1,2,1", "1,1,u,1", "3,1", "0", "1,1,1"])
+def test_hensel_lift_rejects_what_is_not_a_binary_factor(text):
     with pytest.raises(NotAFactor):
-        hensel_lift(BinPoly([1, 1, 1]), 7)
+        hensel_lift(Poly.parse(text), 7)
 
 
 def test_factor_z4_examples():
@@ -169,15 +174,19 @@ def test_factor_z4_examples():
 
 
 def test_lifts_all_supported_lengths():
+    # x^n - 1 is squarefree with one irreducible factor per 2-cyclotomic
+    # coset {s, 2s, 4s, ...} mod n; as many non-constant factors as cosets,
+    # with the product check below, make every factor irreducible.
     for n in range(1, 64, 2):
+        cosets = {frozenset(s * 2**k % n for k in range(n)) for s in range(n)}
         f2_factors = factor_xn_minus_1_f2(n)
         z4_factors = factor_xn_minus_1_z4(n)
+        assert len(f2_factors) == len(cosets)
         product = Poly([1])
         for lift, base in zip(z4_factors, f2_factors):
-            assert lift.is_monic()
+            assert base.degree >= 1 and lift.is_monic()
             # congruent mod 2
-            lifted_bits = tuple(c.a % 2 for c in lift.coeffs)
-            assert lifted_bits == base.coeffs
+            assert Poly(c.a % 2 for c in lift.coeffs) == base
             assert all(c.b == 0 for c in lift.coeffs)
             _, r = poly_divmod(xn_minus_1(n), lift)
             assert r.is_zero

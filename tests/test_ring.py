@@ -10,9 +10,6 @@ from z4udna.ring import (
     LEE,
     RingElem,
     UNITS,
-    complement,
-    gray,
-    lee_weight,
     psi,
     theta,
     theta_inv,
@@ -68,26 +65,27 @@ def test_inverse_round_trip():
 
 
 def test_complement_examples():
-    assert complement(RingElem(0)) == ONE_PLUS_U
-    assert complement(RingElem(2)) == RingElem(3, 1)
+    assert RingElem(0).complement() == ONE_PLUS_U
+    assert RingElem(2).complement() == RingElem(3, 1)
 
 
 def test_complement_identities_exhaustive():
     three_wcc = RingElem(3) * ONE_PLUS_U
     for x in ALL_ELEMENTS:
-        assert x + complement(x) == ONE_PLUS_U
-        assert complement(complement(x)) == x
-        assert x != complement(x)
-        assert complement(RingElem(2) * x) + three_wcc == RingElem(2) * x
-        assert complement(x) + three_wcc == RingElem(3) * x
+        assert x + x.complement() == ONE_PLUS_U
+        assert x.complement().complement() == x
+        assert x != x.complement()
+        assert (RingElem(2) * x).complement() + three_wcc == RingElem(2) * x
+        assert x.complement() + three_wcc == RingElem(3) * x
     for a in range(4):
         d = RingElem(0, 2) * RingElem(a)
-        assert complement(d) + three_wcc == d
+        assert d.complement() + three_wcc == d
     for x, y in itertools.product(ALL_ELEMENTS, repeat=2):
-        assert complement(x + y) == complement(x) + complement(y) + three_wcc
+        assert (x + y).complement() == x.complement() + y.complement() + three_wcc
     two_wcc = RingElem(2) * ONE_PLUS_U
     for x, y, z in itertools.product(ALL_ELEMENTS, repeat=3):
-        assert complement(x + y + z) == complement(x) + complement(y) + complement(z) + two_wcc
+        assert ((x + y + z).complement()
+                == x.complement() + y.complement() + z.complement() + two_wcc)
 
 
 def test_codon_table_rows():
@@ -107,7 +105,7 @@ def test_codon_bijection_and_wcc():
     for x in ALL_ELEMENTS:
         assert theta_inv(theta(x)) == x
         letterwise = "".join(WCC[ch] for ch in theta(x))
-        assert theta(complement(x)) == letterwise
+        assert theta(x.complement()) == letterwise
     with pytest.raises(ValueError):
         theta_inv("AX")
 
@@ -129,11 +127,11 @@ def test_gray_table_rows():
 
 
 def test_lee_weights():
-    assert lee_weight(RingElem(0)) == 0
-    assert lee_weight(ONE_PLUS_U) == 3
-    assert lee_weight(RingElem(0, 3)) == 2
+    assert RingElem(0).lee_weight() == 0
+    assert ONE_PLUS_U.lee_weight() == 3
+    assert RingElem(0, 3).lee_weight() == 2
     for x in ALL_ELEMENTS:
-        assert lee_weight(x) == sum(gray(x))
+        assert x.lee_weight() == sum(x.gray_bits())
 
 
 def test_symbol_tables_match_element_maps():
@@ -146,8 +144,8 @@ def test_symbol_tables_match_element_maps():
 
 def test_lee_hamming_isometry():
     for x, y in itertools.product(ALL_ELEMENTS, repeat=2):
-        dist = sum(1 for bx, by in zip(gray(x), gray(y)) if bx != by)
-        assert lee_weight(x - y) == dist
+        dist = sum(1 for bx, by in zip(x.gray_bits(), y.gray_bits()) if bx != by)
+        assert (x - y).lee_weight() == dist
 
 
 def test_text_round_trip():

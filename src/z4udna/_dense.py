@@ -17,17 +17,15 @@ same arithmetic serves both key types; nothing else depends on the width.
 The word maps of the closure predicates work on keys too.  The cyclic
 shift is a 4-bit rotation, ``(k >> 4) | ((k & 15) << 4(n-1))``.  The
 complement (1+u) - x is ``k ^ low``, since 1 - v = v xor 1 in each Z4
-lane.  Reversal swaps the nibbles of each byte, then ``byteswap`` reverses
-the bytes and a right shift by 4(16 - n) drops the unused low end; above
-16 symbols it goes through rows.  RC is the reverse of the complement.
-A map permutes words, so a set is closed under it iff the sorted image
-keys equal the keys (``same_set``).
+lane.  Reversal goes through rows at every width.  RC is the reverse of
+the complement.  A map permutes words, so a set is closed under it iff
+the sorted image keys equal the keys (``same_set``).
 
 ``span_closure`` grows a set S one vector v at a time: S + Rv is the
-union of the cosets S + d over the multiples d of v, and a coset is
-either inside the running union or disjoint from it.  So a multiple the
-running union already holds is skipped, and each ``np.union1d`` merges a
-new coset.
+union of the cosets S + d over the distinct multiples d of v, and a
+coset is either inside the running union or disjoint from it.  Since S
+is inside the union, one binary search for d decides which, and each
+``np.union1d`` merges a new coset.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .ring import MUL
 _PACK_LIMIT = 16  # max word width (symbols) that fits one uint64 key
 
 _MUL16 = np.frombuffer(MUL, dtype=np.uint8).reshape(16, 16)
-_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)  # the low nibble of every byte
 
 
 def _key_type(width: int):
@@ -109,10 +106,7 @@ def roll_keys(keys: np.ndarray, width: int) -> np.ndarray:
 
 def reverse_keys(keys: np.ndarray, width: int) -> np.ndarray:
     """Each word read backwards."""
-    if width > _PACK_LIMIT:
-        return pack(unpack(keys, width)[:, ::-1])
-    swapped = ((keys & _NIBBLES) << 4) | ((keys >> 4) & _NIBBLES)
-    return swapped.byteswap() >> (4 * (_PACK_LIMIT - width))
+    return pack(unpack(keys, width)[:, ::-1])
 
 
 def complement_keys(keys: np.ndarray, width: int) -> np.ndarray:
@@ -130,30 +124,22 @@ def span_closure(vectors, cap: int) -> np.ndarray:
 
     The span is shift-closed only if the vectors are (``enumerate_code``
     passes all n shifts of each generator).  Each step replaces the running
-    set S by S + R*v, merging the cosets S + d one multiple d at a time in
-    key order; since S starts as the zero module and module sums stay
-    modules, a multiple the union already holds brings a coset it already
-    contains and is skipped, and one pass over the vectors is enough.
-    Raises CapExceeded as soon as the set outgrows ``cap``.
+    set S by S + R*v, merging the cosets S + d over the distinct multiples
+    d of v in key order.  S holds 0 and the running union holds S, so the
+    union holds d iff it already holds the coset S + d, which is then
+    skipped; one pass over the vectors is enough, since module sums stay
+    modules.  Raises CapExceeded as soon as the set outgrows ``cap``.
     """
     vectors = np.asarray(vectors, dtype=np.uint8)
-    count, width = vectors.shape
+    width = vectors.shape[1]
     _, low, high = _key_type(width)
-    # row j: the 16 multiples of vector j, in key order, each marked if it
-    # is the first of its value
-    orbits = np.sort(pack(_MUL16[:, vectors].reshape(-1, width)).reshape(16, count), axis=0).T
-    first = np.ones(orbits.shape, dtype=bool)
-    first[:, 1:] = orbits[:, 1:] != orbits[:, :-1]
     keys = pack(np.zeros((1, width), dtype=np.uint8))
-    for multiples, once in zip(orbits, first):
-        # the distinct multiples outside S; the first of them opens a coset
-        outside = keys[keys.searchsorted(multiples).clip(max=keys.size - 1)] != multiples
+    for v in vectors:
         acc = keys
-        for d in multiples[once & outside]:
-            if acc is not keys and has_key(acc, d):
-                continue
-            acc = np.union1d(acc, _add_keys(keys, d, low, high))
-            if acc.size > cap:
-                raise CapExceeded(f"code grew past cap={cap}")
+        for d in np.unique(pack(_MUL16[:, v])):
+            if not has_key(acc, d):
+                acc = np.union1d(acc, _add_keys(keys, d, low, high))
+                if acc.size > cap:
+                    raise CapExceeded(f"code grew past cap={cap}")
         keys = acc
     return keys

@@ -260,7 +260,7 @@ def enumerate_code(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> Code:
     g_a, g_b = generator_polys(gens)
     n = gens.n
     shifts = (np.arange(n) - np.arange(n)[:, None]) % n  # row i: x^i * g, g rolled by i
-    vectors = [np.frombuffer(poly_mod_xn(g, n).symbols.ljust(n, b"\0"), dtype=np.uint8)[shifts]
+    vectors = [np.frombuffer(g.symbols.ljust(n, b"\0"), dtype=np.uint8)[shifts]
                for g in (g_a, g_b) if g is not None]
     code = Code(n, _dense.span_closure(np.concatenate(vectors), cap), gens)
     # spanning all n shifts of each generator makes the result an ideal;

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import getitem, ne
 from typing import Callable, Iterable, Sequence
 
-from .errors import BadAlphabet, LengthMismatch, OddLength
+from .errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode
 from .ring import ALL_ELEMENTS, RingElem, theta_inv
 
 _WCC = str.maketrans("ACGT", "TGCA")
@@ -111,7 +111,7 @@ def _pair_min(words: Sequence, distance: Callable, image: Callable = _same,
 
 def _min_distance(words: Sequence, distance: Callable) -> int:
     if len(words) < 2:
-        raise LengthMismatch("need at least two words")
+        raise TrivialCode("need at least two words")
     return _pair_min(words, distance)
 
 

@@ -623,8 +623,13 @@ def test_key_span_closure_matches_oracle_on_shuffled_vectors(n, seed):
     assert _key_words(keys, n) == expected
     assert len(merged) == sum(after // before - 1 for before, after in zip(sizes, sizes[1:]))
     if len(expected) > 1:
-        with pytest.raises(CapExceeded):
+        # the cap fires on the merge that first passes it, the last one
+        full = len(merged)
+        merged.clear()
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(CapExceeded):
+            patch.setattr(_dense, "_add_keys", counted)
             _dense.span_closure(vectors, len(expected) - 1)
+        assert len(merged) == full
 
 
 def test_span_closure_skips_vectors_already_in_the_span(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from z4udna import dna
 from z4udna.cyclic import complement_word
-from z4udna.errors import BadAlphabet, LengthMismatch, OddLength
+from z4udna.errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode
 from z4udna.ring import ALL_ELEMENTS, RingElem
 
 
@@ -115,7 +115,7 @@ def test_gc_constraint():
 
 def test_min_letterwise_distance():
     assert dna.min_letterwise_distance({"AAAA", "AATT", "TTTT"}) == 2
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(TrivialCode):
         dna.min_letterwise_distance({"AAAA"})
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from z4udna import dna
 from z4udna.cli import main
-from z4udna.errors import LengthMismatch
+from z4udna.errors import TrivialCode
 from z4udna.ring import ALL_ELEMENTS
 
 CODONS = tuple(x.codon() for x in ALL_ELEMENTS)
@@ -31,7 +31,7 @@ def brute_min(words, distance):
     book = set(words)
     dists = [distance(x, y) for x in book for y in book if x != y]
     if not dists:
-        raise LengthMismatch("need at least two words")
+        raise TrivialCode("need at least two words")
     return min(dists)
 
 
@@ -83,7 +83,7 @@ def codebooks(draw):
 @given(codebooks())
 def test_scan_matches_brute_force(book):
     if len(set(book)) < 2:
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(TrivialCode):
             dna.min_letterwise_distance(book)
     else:
         assert dna.min_letterwise_distance(book) == brute_min(book, dna.hamming)

@@ -1,8 +1,12 @@
-"""The README's library quickstart runs, and prints what its comments say."""
+"""The README's library quickstart runs, and prints what its comments say,
+and its command lines parse."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from z4udna.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +33,23 @@ def test_quickstart_values_match_their_comments():
         else:
             exec(compile(ast.Module([node], []), "README", "exec"), namespace)
     assert comments == ["16", "3", "True", "True", "3"]
+
+
+def test_command_line_block_parses():
+    """Each ``z4udna`` line of the "Command line" block, with its optional
+    ``[ ]`` flags written out and its ``#`` comment dropped, parses; the
+    ``...`` line only names an alias."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    parser = build_parser()
+    parsed = 0
+    for line in block.splitlines():
+        line = line.partition("#")[0].replace("[", "").replace("]", "")
+        if not line.startswith("z4udna ") or "..." in line:
+            continue
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: {line.strip()}") from None
+        parsed += 1
+    assert parsed == 7

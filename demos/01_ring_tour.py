@@ -3,12 +3,12 @@
 Run:  python3 demos/01_ring_tour.py
 """
 
-from z4udna.ring import ALL_ELEMENTS, RingElem, theta
+from z4udna.ring import ALL_ELEMENTS, RingElem
 
 print("element | codon | gray | lee | unit | complement")
 print("-" * 52)
 for x in ALL_ELEMENTS:
-    print(f"{str(x):>7} |  {theta(x)}   | {x.gray_str()} |  {x.lee_weight()}  | "
+    print(f"{str(x):>7} |  {x.codon()}   | {x.gray_str()} |  {x.lee_weight()}  | "
           f"{'yes' if x.is_unit() else ' no'}  | {x.complement()}")
 
 print()
@@ -19,8 +19,8 @@ print(f"  {x} + {x.complement()} = {x + x.complement()}")
 print()
 print("The codon map turns ring complement into letterwise Watson-Crick pairing:")
 for value in (RingElem(0), RingElem(2), RingElem(0, 2)):
-    print(f"  theta({str(value):>3}) = {theta(value)}   "
-          f"theta(comp) = {theta(value.complement())}")
+    print(f"  theta({str(value):>3}) = {value.codon()}   "
+          f"theta(comp) = {value.complement().codon()}")
 
 print()
 print("Gray images carry Lee distance to Hamming distance:")

@@ -11,8 +11,6 @@ from .ring import (
     ALL_ELEMENTS,
     RingElem,
     UNITS,
-    psi,
-    theta,
     theta_inv,
 )
 from .poly import (

@@ -3,13 +3,17 @@
 Four named condition sets are evaluated on a generator tuple:
 
 * ``T31`` (single generator) and ``T32`` (double generator): the code is
-  predicted reversible when f1 (and f3) are self-reciprocal, x^i*f2* = f2,
-  and the f14 clause holds, where i = deg f1 - deg f2 and
-  j = deg f1 - deg f14.
-* ``T41`` / ``T42``: the same conditions plus membership of the word with
-  every symbol 3+3u, which is the reverse-complement of the zero word.
-  Membership is decided from f1(1) being a unit, without enumerating the
-  code, so no condition check has a cap or can exceed one.
+  predicted reversible when (a) f1 (and f3) are self-reciprocal, (b)(i)
+  x^i*f2* = f2, and (b)(ii) the f14 clause holds, where
+  i = deg f1 - deg f2 and j = deg f1 - deg f14.  One body, ``_check``,
+  computes every clause for both forms, in report order; ``_FORMS`` holds
+  what differs by form (the clause (a) list and the texts), and only the
+  (b)(ii) branch differs in logic.
+* ``T41`` / ``T42``: T31 / T32 plus membership of the word with every
+  symbol 3+3u, which is the reverse-complement of the zero word, added by
+  ``_with_membership``.  Membership is decided from f1(1) being a unit,
+  without enumerating the code, so no condition check has a cap or can
+  exceed one.
 
 Equalities are tested literally after reduction mod x^n - 1; when a
 condition fails literally but holds up to a unit factor, that is recorded
@@ -52,6 +56,13 @@ PROPERTIES = ("reversible", "rc_closed")
 # Symbol indices of the units other than 1, in canonical element order.
 _UNITS_BUT_ONE = bytes(m.index for m in UNITS[1:])  # UNITS[0] is 1
 
+# T31 and T32: the theorem, the polynomials clause (a) requires to be
+# self-reciprocal, the WrongForm message and the (b)(ii) failure.
+_FORMS = (("T31", ("f1",), "single-generator checker given a double-generator tuple",
+           "(b)(ii) x^j*f14* != f14 and f2 does not divide 2x^j*f14* + 2f14"),
+          ("T32", ("f1", "f3"), "double-generator checker needs f3 and f4",
+           "(b)(ii) f4 divides neither 2x^j*f14* + 2f14 nor that plus 2f2"))
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -82,85 +93,63 @@ class CrossValReport:
     erratum: Optional[str] = None
 
 
-def _self_reciprocal(name: str, f: Poly, failures: list[str]) -> None:
-    if self_reciprocal_constant(f) is None:
-        failures.append(f"(a) {name} is not self-reciprocal")
-
-
-def _check_b1(gens: GeneratorSet, failures: list[str], notes: list[str]) -> int:
-    """x^i * f2* = f2 mod x^n - 1, literally; unit-factor near-misses are
-    noted but still count as failures."""
+def _check(gens: GeneratorSet, double: bool) -> ConditionReport:
+    """T32 if ``double`` else T31, clause by clause in report order."""
+    theorem, names, wrong_form, b2_failure = _FORMS[double]
+    # the double form needs both f3 and f4, the single form neither
+    if (gens.f3 is None) == double or (gens.f4 is None) == double:
+        raise WrongForm(wrong_form)
+    require_valid(gens)
+    n = gens.n
+    failures = [f"(a) {name} is not self-reciprocal" for name in names
+                if self_reciprocal_constant(getattr(gens, name)) is None]
+    notes: list[str] = []
+    # (b)(i) is tested literally; a unit-factor near-miss is noted but fails
     i = gens.f1.degree - gens.f2.degree
-    lhs = poly_mod_xn(reciprocal(gens.f2).shift(i), gens.n)
-    rhs = poly_mod_xn(gens.f2, gens.n)
+    lhs = poly_mod_xn(reciprocal(gens.f2).shift(i), n)
+    rhs = poly_mod_xn(gens.f2, n)
     if lhs != rhs:
         failures.append("(b)(i) x^i*f2* != f2")
         m = constant_factor(rhs, lhs, _UNITS_BUT_ONE)
         if m is not None:
             notes.append(f"(b)(i) holds up to the unit factor m={ALL_ELEMENTS[m]}")
-    return i
-
-
-def _f14_dividend(gens: GeneratorSet) -> tuple[Optional[int], Poly, Poly, list[str]]:
-    """j, the reduced x^j*f14*, the reduced f14, and any anomaly notes."""
-    notes = []
-    if gens.f14.is_zero:
-        return None, Poly(), Poly(), notes
-    j = gens.f1.degree - gens.f14.degree
-    if j < 0:
-        notes.append("j < 0 (deg f14 exceeds deg f1); exponent taken mod n")
-    shifted = poly_mod_xn(reciprocal(gens.f14).shift(j % gens.n), gens.n)
-    return j, shifted, poly_mod_xn(gens.f14, gens.n), notes
+    # (b)(ii) works on the reduced x^j*f14* and f14; f14 = 0 leaves j None
+    # and both terms equal to that zero f14 (reused: no Poly() per call)
+    j, shifted, f14r = None, gens.f14, gens.f14
+    if not gens.f14.is_zero:
+        j = gens.f1.degree - gens.f14.degree
+        if j < 0:
+            notes.append("j < 0 (deg f14 exceeds deg f1); exponent taken mod n")
+        shifted = poly_mod_xn(reciprocal(gens.f14).shift(j % n), n)
+        f14r = poly_mod_xn(gens.f14, n)
+    if double:
+        dividend = poly_mod_xn(shifted * 2 + f14r * 2, n)
+        if divides(gens.f4, dividend, n):
+            branch = "div-f14" if j is not None else "vacuous"
+        elif divides(gens.f4, poly_mod_xn(dividend + gens.f2 * 2, n), n):
+            branch = "div-f14-plus-f2"
+        else:
+            branch = None
+    elif j is None or shifted == f14r:
+        branch = "vacuous" if j is None else "equality"
+    elif divides(gens.f2, poly_mod_xn(shifted * 2 + f14r * 2, n), n):
+        branch = "divisibility"
+    else:
+        branch = None
+    if branch is None:
+        failures.append(b2_failure)
+    return ConditionReport(theorem, not failures, i, j, branch,
+                           tuple(failures), tuple(notes))
 
 
 def check_reversible_single(gens: GeneratorSet) -> ConditionReport:
     """Condition set T31 for a single-generator code."""
-    if gens.f3 is not None or gens.f4 is not None:
-        raise WrongForm("single-generator checker given a double-generator tuple")
-    require_valid(gens)
-    failures: list[str] = []
-    notes: list[str] = []
-    _self_reciprocal("f1", gens.f1, failures)
-    i = _check_b1(gens, failures, notes)
-    j, shifted, f14r, jnotes = _f14_dividend(gens)
-    notes.extend(jnotes)
-    if j is None:
-        branch = "vacuous"
-    elif shifted == f14r:
-        branch = "equality"
-    else:
-        dividend = poly_mod_xn(shifted * 2 + f14r * 2, gens.n)
-        if divides(gens.f2, dividend, gens.n):
-            branch = "divisibility"
-        else:
-            branch = None
-            failures.append("(b)(ii) x^j*f14* != f14 and f2 does not divide 2x^j*f14* + 2f14")
-    return ConditionReport("T31", not failures, i, j, branch,
-                           tuple(failures), tuple(notes))
+    return _check(gens, False)
 
 
 def check_reversible_double(gens: GeneratorSet) -> ConditionReport:
     """Condition set T32 for a double-generator code."""
-    if gens.f3 is None or gens.f4 is None:
-        raise WrongForm("double-generator checker needs f3 and f4")
-    require_valid(gens)
-    failures: list[str] = []
-    notes: list[str] = []
-    _self_reciprocal("f1", gens.f1, failures)
-    _self_reciprocal("f3", gens.f3, failures)
-    i = _check_b1(gens, failures, notes)
-    j, shifted, f14r, jnotes = _f14_dividend(gens)
-    notes.extend(jnotes)
-    dividend = poly_mod_xn(shifted * 2 + f14r * 2, gens.n)
-    if divides(gens.f4, dividend, gens.n):
-        branch = "div-f14" if j is not None else "vacuous"
-    elif divides(gens.f4, poly_mod_xn(dividend + gens.f2 * 2, gens.n), gens.n):
-        branch = "div-f14-plus-f2"
-    else:
-        branch = None
-        failures.append("(b)(ii) f4 divides neither 2x^j*f14* + 2f14 nor that plus 2f2")
-    return ConditionReport("T32", not failures, i, j, branch,
-                           tuple(failures), tuple(notes))
+    return _check(gens, True)
 
 
 def _with_membership(report: ConditionReport, theorem: str,
@@ -195,15 +184,16 @@ def check_rc_double(gens: GeneratorSet) -> ConditionReport:
 # Cross-validation against brute force
 # ---------------------------------------------------------------------------
 
-def _gens_signature(gens: GeneratorSet) -> str:
-    parts = [str(gens.n), str(gens.f1), str(gens.f2), str(gens.f14),
-             str(gens.f3) if gens.f3 is not None else "-",
-             str(gens.f4) if gens.f4 is not None else "-"]
-    return "|".join(parts)
+_FIELDS = ("n", "f1", "f2", "f14", "f3", "f4")
+
+
+def _field_texts(gens: GeneratorSet) -> list[str]:
+    """The ``_FIELDS`` of a tuple as text, "-" for an absent f3/f4."""
+    return ["-" if v is None else str(v) for v in (getattr(gens, k) for k in _FIELDS)]
 
 
 def _erratum_name(gens: GeneratorSet, prop: str) -> str:
-    digest = hashlib.sha1(_gens_signature(gens).encode()).hexdigest()[:8]
+    digest = hashlib.sha1("|".join(_field_texts(gens)).encode()).hexdigest()[:8]
     return f"erratum-n{gens.n}-{prop}-{digest}"
 
 
@@ -291,24 +281,9 @@ def _random_instance(n: int, max_f14_degree: int, lattice: list[Poly],
     return GeneratorSet(n, lattice[f1_mask], f2, f14, lattice[f3_mask], f4)
 
 
-def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
-          samples: Optional[int] = None, cap: int = DEFAULT_CAP) -> list[CrossValReport]:
-    """Cross-validate generator tuples drawn from the divisor lattice.
-
-    With ``samples=None`` the lattice is walked exhaustively with f14
-    ranging over the representative alphabet; otherwise ``samples``
-    instances are drawn with the seeded generator, skipping (and
-    redrawing past) instances whose enumeration exceeds ``cap``.  Each
-    instance yields one report per property, in a fixed order, so the
-    result is deterministic.
-    """
-    reports: list[CrossValReport] = []
-    if samples is None:
-        for gens in _exhaustive_instances(n, max_f14_degree):
-            code = enumerate_code(gens, cap)
-            for prop in PROPERTIES:
-                reports.append(_crossval_with_code(gens, prop, code))
-        return reports
+def _sampled_codes(n: int, max_f14_degree: int, seed: int, samples: int, cap: int):
+    """``samples`` seeded draws with their codes; a draw over ``cap`` is
+    skipped, and after ``200 * samples`` draws the walk gives up."""
     lattice = _divisor_lattice(n)
     rng = random.Random(seed)
     collected = 0
@@ -323,10 +298,28 @@ def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
             code = enumerate_code(gens, cap)
         except CapExceeded:
             continue
-        for prop in PROPERTIES:
-            reports.append(_crossval_with_code(gens, prop, code))
         collected += 1
-    return reports
+        yield gens, code
+
+
+def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
+          samples: Optional[int] = None, cap: int = DEFAULT_CAP) -> list[CrossValReport]:
+    """Cross-validate generator tuples drawn from the divisor lattice.
+
+    With ``samples=None`` the lattice is walked exhaustively with f14
+    ranging over the representative alphabet; otherwise ``samples``
+    instances are drawn with the seeded generator, skipping (and
+    redrawing past) instances whose enumeration exceeds ``cap``.  Each
+    instance is enumerated, then yields one report per property, in a
+    fixed order, so the result is deterministic.
+    """
+    if samples is None:
+        codes = ((gens, enumerate_code(gens, cap))
+                 for gens in _exhaustive_instances(n, max_f14_degree))
+    else:
+        codes = _sampled_codes(n, max_f14_degree, seed, samples, cap)
+    return [_crossval_with_code(gens, prop, code)
+            for gens, code in codes for prop in PROPERTIES]
 
 
 def format_sweep_report(reports: list[CrossValReport]) -> str:
@@ -334,11 +327,8 @@ def format_sweep_report(reports: list[CrossValReport]) -> str:
     lines = []
     agreements = 0
     for r in reports:
-        g = r.gens
-        line = (f"n={g.n} f1={g.f1} f2={g.f2} f14={g.f14} "
-                f"f3={g.f3 if g.f3 is not None else '-'} "
-                f"f4={g.f4 if g.f4 is not None else '-'} "
-                f"property={r.property} predicted={str(r.predicted).lower()} "
+        line = (" ".join(f"{k}={v}" for k, v in zip(_FIELDS, _field_texts(r.gens)))
+                + f" property={r.property} predicted={str(r.predicted).lower()} "
                 f"observed={str(r.observed).lower()} agree={str(r.agree).lower()}")
         if r.erratum:
             line += f" erratum={r.erratum}"

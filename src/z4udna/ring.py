@@ -102,8 +102,9 @@ class RingElem:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
+        # only another element compares: an int would equal RingElem(int)
+        # without sharing its hash
+        if not isinstance(other, RingElem):
             return NotImplemented
         return self.a == other.a and self.b == other.b
 
@@ -194,19 +195,8 @@ def solve_unit(x: int, y: int) -> int | None:
     return MUL[y << 4 | inv] if inv else None
 
 
-def psi(c: int) -> tuple[int, int]:
-    """Z4 Gray pair (beta(c), gamma(c)): 0->00, 1->01, 2->11, 3->10."""
-    c %= 4
-    return (BETA[c], GAMMA[c])
-
-
-def theta(x: RingElem) -> str:
-    """The fixed element -> codon bijection."""
-    return x.codon()
-
-
 def theta_inv(codon: str) -> RingElem:
-    """Inverse of ``theta``; raises ValueError on unknown pairs."""
+    """Inverse of ``RingElem.codon``; raises ValueError on unknown pairs."""
     try:
         a, b = _ELEM_OF_CODON[codon]
     except KeyError:

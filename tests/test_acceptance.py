@@ -31,7 +31,7 @@ from z4udna.poly import (
     reciprocal,
     xn_minus_1,
 )
-from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS, theta
+from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS
 
 ONE_PLUS_U = RingElem(1, 1)
 WCC = {"A": "T", "T": "A", "C": "G", "G": "C"}
@@ -91,9 +91,9 @@ def test_acceptance_01_complement_identities():
 
 def test_acceptance_02_codon_table_fidelity():
     t0 = time.perf_counter()
-    codons = {theta(x) for x in ALL_ELEMENTS}
+    codons = {x.codon() for x in ALL_ELEMENTS}
     ok = len(codons) == 16
-    ok &= all(theta(x.complement()) == "".join(WCC[ch] for ch in theta(x))
+    ok &= all(x.complement().codon() == "".join(WCC[ch] for ch in x.codon())
               for x in ALL_ELEMENTS)
     ok &= dna.letterwise_complement("GCATAG") == "CGTATC"
     _report("codon table is a WCC-compatible bijection (incl. GCATAG -> CGTATC)",
@@ -102,7 +102,7 @@ def test_acceptance_02_codon_table_fidelity():
 
 def test_acceptance_03_gray_table_and_isometry():
     t0 = time.perf_counter()
-    ok = all(x.gray_str() == CATALOG_GRAY[theta(x)] for x in ALL_ELEMENTS)
+    ok = all(x.gray_str() == CATALOG_GRAY[x.codon()] for x in ALL_ELEMENTS)
     for x, y in itertools.product(ALL_ELEMENTS, repeat=2):
         hamming = sum(1 for bx, by in zip(x.gray_bits(), y.gray_bits()) if bx != by)
         ok &= (x - y).lee_weight() == hamming

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from z4udna import conditions
 from z4udna.conditions import (
     PROPERTIES,
     _exhaustive_instances,
@@ -71,6 +72,31 @@ def test_wrong_form_errors():
         check_reversible_double(EX_61I)
     with pytest.raises(InvalidGenerators):
         check_reversible_single(GeneratorSet(4, G2_3, G2_3))
+    # a half-given (f3, f4) pair fits neither form, and the form is checked
+    # before validation, which would call it InvalidGenerators
+    f3_only = GeneratorSet(3, G2_3, G2_3, Poly(), Poly.parse("3,1"))
+    f4_only = GeneratorSet(3, G2_3, G2_3, Poly(), None, Poly.parse("1"))
+    for gens in (f3_only, f4_only):
+        for checker in (check_reversible_single, check_reversible_double):
+            with pytest.raises(WrongForm):
+                checker(gens)
+
+
+def test_predict_and_rc_checks_reach_the_public_t31_t32(monkeypatch):
+    # perfbench times T31/T32 at these two module attributes, so predict
+    # and T41/T42 must look them up there rather than call a private core
+    calls = Counter()
+    for name in ("check_reversible_single", "check_reversible_double"):
+        def counted(gens, name=name, original=getattr(conditions, name)):
+            calls[name] += 1
+            return original(gens)
+        monkeypatch.setattr(conditions, name, counted)
+    check_rc_single(EX_61I)
+    check_rc_double(EX_61II)
+    for prop in PROPERTIES:
+        predict(EX_61I, prop)
+        predict(EX_61II, prop)
+    assert calls == {"check_reversible_single": 3, "check_reversible_double": 3}
 
 
 def test_rc_checkers_add_membership():

@@ -1,17 +1,21 @@
-"""Full T31/T32 reports, notes included, against a reference checker.
+"""Full T31-T42 reports, notes included, against a reference checker.
 
 The reference finds the self-reciprocal constant of f1/f3 and the (b)(i)
 unit factor by trying the constants one by one in canonical element order,
 and builds the rest of each report from the paper's clauses with plain
-``Poly`` arithmetic.
+``Poly`` arithmetic.  T41/T42 add membership of the all-(3+3u) word, which
+the reference decides by evaluating f1 at 1 in ``RingElem`` arithmetic.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from z4udna.conditions import (
     ConditionReport,
+    check_rc_double,
+    check_rc_single,
     check_reversible_double,
     check_reversible_single,
 )
@@ -24,7 +28,7 @@ from z4udna.poly import (
     reciprocal,
     xn_minus_1,
 )
-from z4udna.ring import ALL_ELEMENTS, UNITS
+from z4udna.ring import ALL_ELEMENTS, UNITS, RingElem
 
 
 def ref_self_reciprocal(f):
@@ -88,9 +92,26 @@ def ref_check(gens):
                            tuple(failures), tuple(notes))
 
 
+MEMBERSHIP = "membership: the all-(3+3u) word is not in the code"
+
+
+def ref_rc_check(gens):
+    """T41/T42: the T31/T32 reference plus f1(1) being a unit."""
+    report = ref_check(gens)
+    failures = report.failures
+    if not sum(gens.f1.coeffs, RingElem(0)).is_unit():
+        failures += (MEMBERSHIP,)
+    return replace(report, theorem={"T31": "T41", "T32": "T42"}[report.theorem],
+                   satisfied=not failures, failures=failures)
+
+
 def check(gens):
     single = gens.f3 is None
     return check_reversible_single(gens) if single else check_reversible_double(gens)
+
+
+def rc_check(gens):
+    return check_rc_single(gens) if gens.f3 is None else check_rc_double(gens)
 
 
 def lattice_tuples(n, per_form, seed):
@@ -144,11 +165,16 @@ def special_tuples(n):
 def test_reports_match_the_reference_scans(n):
     tuples = lattice_tuples(n, 60, seed=n) + special_tuples(n)
     notes = set()
+    members = set()
     for gens in tuples:
         report = check(gens)
         assert report == ref_check(gens), gens
         notes.update(report.notes)
-    # the corner cases really are exercised
+        report = rc_check(gens)
+        assert report == ref_rc_check(gens), gens
+        members.add(MEMBERSHIP not in report.failures)
+    # the corner cases really are exercised, and the word is in some codes only
+    assert members == {True, False}
     assert "(b)(i) holds up to the unit factor m=3" in notes
     assert "j < 0 (deg f14 exceeds deg f1); exponent taken mod n" in notes
 

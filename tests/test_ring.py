@@ -10,8 +10,6 @@ from z4udna.ring import (
     LEE,
     RingElem,
     UNITS,
-    psi,
-    theta,
     theta_inv,
 )
 
@@ -88,30 +86,36 @@ def test_complement_identities_exhaustive():
                 == x.complement() + y.complement() + z.complement() + two_wcc)
 
 
+def test_equality_agrees_with_hash():
+    # an int is not a ring element: RingElem(1) == 5 used to hold although
+    # the two hashes differ
+    assert RingElem(1) != 5 and RingElem(1) != 1 and 1 != RingElem(1)
+    values = list(ALL_ELEMENTS) + list(range(-4, 8))
+    for a, b in itertools.product(values, repeat=2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+
+
 def test_codon_table_rows():
-    assert theta(RingElem(0)) == "AA"
-    assert theta(ONE_PLUS_U) == "TT"
-    assert theta(RingElem(2))  == "AT"
-    assert theta(RingElem(3, 1)) == "TA"
-    assert theta(RingElem(2, 3)) == "CT"
-    assert theta(RingElem(3, 2)) == "GA"
-    assert theta(RingElem(0, 2)) == "GT"
-    assert theta(RingElem(1, 3)) == "CA"
+    assert RingElem(0).codon() == "AA"
+    assert ONE_PLUS_U.codon() == "TT"
+    assert RingElem(2).codon() == "AT"
+    assert RingElem(3, 1).codon() == "TA"
+    assert RingElem(2, 3).codon() == "CT"
+    assert RingElem(3, 2).codon() == "GA"
+    assert RingElem(0, 2).codon() == "GT"
+    assert RingElem(1, 3).codon() == "CA"
 
 
 def test_codon_bijection_and_wcc():
-    codons = {theta(x) for x in ALL_ELEMENTS}
+    codons = {x.codon() for x in ALL_ELEMENTS}
     assert len(codons) == 16
     for x in ALL_ELEMENTS:
-        assert theta_inv(theta(x)) == x
-        letterwise = "".join(WCC[ch] for ch in theta(x))
-        assert theta(x.complement()) == letterwise
+        assert theta_inv(x.codon()) == x
+        letterwise = "".join(WCC[ch] for ch in x.codon())
+        assert x.complement().codon() == letterwise
     with pytest.raises(ValueError):
         theta_inv("AX")
-
-
-def test_psi_table():
-    assert [psi(c) for c in range(4)] == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
 
 def test_gray_table_rows():
@@ -122,7 +126,7 @@ def test_gray_table_rows():
         "CT": "1001", "GA": "1101", "AG": "1100", "TC": "1011",
     }
     for x in ALL_ELEMENTS:
-        assert x.gray_str() == expected[theta(x)]
+        assert x.gray_str() == expected[x.codon()]
     assert len({x.gray_str() for x in ALL_ELEMENTS}) == 16
 
 

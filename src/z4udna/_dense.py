@@ -25,7 +25,9 @@ the sorted image keys equal the keys (``same_set``).
 union of the cosets S + d over the distinct multiples d of v, and a
 coset is either inside the running union or disjoint from it.  Since S
 is inside the union, one binary search for d decides which, and each
-``np.union1d`` merges a new coset.
+``np.union1d`` merges a new coset.  A new coset adds exactly |S| words,
+so the cap is decided before each merge, and no set larger than the cap
+is ever built.
 """
 
 from __future__ import annotations
@@ -128,7 +130,11 @@ def span_closure(vectors, cap: int) -> np.ndarray:
     d of v in key order.  S holds 0 and the running union holds S, so the
     union holds d iff it already holds the coset S + d, which is then
     skipped; one pass over the vectors is enough, since module sums stay
-    modules.  Raises CapExceeded as soon as the set outgrows ``cap``.
+    modules.  A new coset is disjoint from the union and holds |S| words,
+    so the union's next size is known before the merge: CapExceeded is
+    raised then, if that size passes ``cap``, and no set larger than
+    ``cap`` is ever built.  A merge that does not grow the union by
+    exactly |S| raises RuntimeError.
     """
     vectors = np.asarray(vectors, dtype=np.uint8)
     width = vectors.shape[1]
@@ -138,8 +144,11 @@ def span_closure(vectors, cap: int) -> np.ndarray:
         acc = keys
         for d in np.unique(pack(_MUL16[:, v])):
             if not has_key(acc, d):
-                acc = np.union1d(acc, _add_keys(keys, d, low, high))
-                if acc.size > cap:
+                size = acc.size + keys.size
+                if size > cap:
                     raise CapExceeded(f"code grew past cap={cap}")
+                acc = np.union1d(acc, _add_keys(keys, d, low, high))
+                if acc.size != size:
+                    raise RuntimeError("a span closure merge did not add one whole coset")
         keys = acc
     return keys

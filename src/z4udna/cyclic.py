@@ -4,7 +4,8 @@ A code is built from a generator tuple ``(n, f1, f2, f14[, f3, f4])``; its
 two ideal generators are ``f1 + 2*f2 + 2u*f14`` and, when the second pair
 is present, ``u*f3 + 2u*f4``, both reduced mod x^n - 1.  Enumeration is
 exact span closure over all cyclic shifts of the generators, capped so a
-runaway instance fails loudly instead of thrashing.
+runaway instance fails loudly instead of thrashing.  The cap is decided
+before each merge, so no set larger than the cap is ever built.
 """
 
 from __future__ import annotations
@@ -250,10 +251,12 @@ class Code:
 def enumerate_code(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> Code:
     """Exact enumeration of the ideal generated by the generator tuple.
 
-    Span closure over the 2n cyclic shifts of the generators: starting
+    Span closure over the n cyclic shifts of each generator: starting
     from {0}, each shift vector v replaces the running set S by
     {s + r*v : s in S, r in R}, deduplicating as it goes.  Raises
-    CapExceeded rather than truncating when the set outgrows ``cap``.
+    CapExceeded rather than truncating when the code has more than
+    ``cap`` words; the cap is decided before each merge, so no set larger
+    than ``cap`` is ever built.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")

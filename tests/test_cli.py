@@ -83,6 +83,21 @@ def test_build_cap_exceeded(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("cap, status, err", [
+    (4095, 3, "error: code grew past cap=4095\n"),
+    (4096, 0, ""),
+])
+def test_build_cap_is_exact_at_the_code_size(capsys, cap, status, err):
+    # f1 = f2 = 1 at n = 3 gives the whole space of 16^3 = 4096 words
+    code, out, error = run(capsys, "build", "--n", "3", "--f1", "1", "--f2", "1",
+                           "--cap", str(cap))
+    assert (code, error) == (status, err)
+    if status == 0:
+        assert out.startswith("n=3\nsize=4096\n")
+    else:
+        assert out == ""
+
+
 def test_build_writes_files(tmp_path, capsys):
     out_path = tmp_path / "code.txt"
     book_path = tmp_path / "book.txt"

@@ -131,10 +131,59 @@ def test_enumerate_cap():
         enumerate_code(GeneratorSet(3, Poly.parse("1"), Poly.parse("1")), cap=100)
 
 
+@pytest.mark.parametrize("gens, size", [
+    (EX_61I, 16),
+    (EX_61II, 256),
+    (GeneratorSet(7, Poly.parse("3,0,0,0,0,0,0,1"), Poly.parse("3,1,2,1")), 256),
+    (GeneratorSet(7, G27, G27, Poly(), Poly.parse("3,1,2,1"), Poly.parse("3,1,2,1")), 1024),
+    (GeneratorSet(21, Poly([1] * 21), Poly([1] * 21)), 16),
+], ids=["n3-single", "n3-double", "n7-single", "n7-double", "n21"])
+def test_cap_is_exact_at_the_code_size(gens, size):
+    with pytest.raises(CapExceeded, match=f"^code grew past cap={size - 1}$"):
+        enumerate_code(gens, cap=size - 1)
+    assert len(enumerate_code(gens, cap=size)) == size
+
+
+def test_no_merge_builds_a_set_past_the_cap(monkeypatch):
+    # a new coset S + d is disjoint from the running union and holds |S|
+    # words, so the cap is decided before the merge that would pass it
+    cap = 1 << 16
+    merges = []
+    union1d = np.union1d
+
+    def recorded(acc, translate):
+        union = union1d(acc, translate)
+        merges.append((acc.size, translate.size, union.size))
+        return union
+
+    monkeypatch.setattr(np, "union1d", recorded)
+    rng = random.Random(14)
+    lattice = _divisor_lattice(7)
+    over_cap = 0
+    while over_cap < 4:
+        try:
+            enumerate_code(_random_instance(7, 2, lattice, rng), cap)
+        except CapExceeded:
+            over_cap += 1
+    x_minus_1 = Poly.parse("3,1")
+    with pytest.raises(CapExceeded):
+        enumerate_code(GeneratorSet(21, x_minus_1, x_minus_1), cap)
+    assert merges
+    assert all(union == size + coset for size, coset, union in merges)
+    assert max(union for _, _, union in merges) <= cap
+
+
+def test_span_closure_rejects_a_merge_that_is_not_one_whole_coset(monkeypatch):
+    union1d = np.union1d
+    monkeypatch.setattr(np, "union1d", lambda acc, translate: union1d(acc, translate)[1:])
+    with pytest.raises(RuntimeError, match="did not add one whole coset"):
+        enumerate_code(EX_61I)
+
+
 def test_cap_bounds_memory_of_wide_rows():
-    # n = 21 packs words into Python-int keys; merging one translate at a
-    # time keeps the set near the cap instead of materialising all 16
-    # translates of it
+    # n = 21 packs words into Python-int keys; one translate is merged at a
+    # time and the cap is decided before each merge, so no set larger than
+    # the cap is built, let alone all 16 translates of it
     x_minus_1 = Poly.parse("3,1")
     tracemalloc.start()
     try:
@@ -623,13 +672,14 @@ def test_key_span_closure_matches_oracle_on_shuffled_vectors(n, seed):
     assert _key_words(keys, n) == expected
     assert len(merged) == sum(after // before - 1 for before, after in zip(sizes, sizes[1:]))
     if len(expected) > 1:
-        # the cap fires on the merge that first passes it, the last one
+        # the cap fires before the merge that would first pass it, the last
+        # one, so that coset is never translated
         full = len(merged)
         merged.clear()
         with pytest.MonkeyPatch.context() as patch, pytest.raises(CapExceeded):
             patch.setattr(_dense, "_add_keys", counted)
             _dense.span_closure(vectors, len(expected) - 1)
-        assert len(merged) == full
+        assert len(merged) == full - 1
 
 
 def test_span_closure_skips_vectors_already_in_the_span(monkeypatch):

@@ -122,9 +122,9 @@ def cmd_distance(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    if args.samples is None and args.n > 5:
+    if args.samples is None and args.n > 3:
         raise UnsupportedLength(
-            f"exhaustive sweep is limited to n <= 5; pass --samples for n={args.n}")
+            f"exhaustive sweep is limited to n <= 3; pass --samples for n={args.n}")
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     reports = conditions.sweep(args.n, max_f14_degree=2, seed=args.seed,

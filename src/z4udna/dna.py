@@ -6,15 +6,23 @@ codon per symbol.  Reversal of a DNA word here means reversal of the
 not strand reversal of individual letters; complement is letterwise
 Watson-Crick pairing, which coincides with the ring-level complement
 through the codon table.
+
+Codebook distances and constraints take a book of distinct words.  The
+letterwise ones compare strings pair by pair in ``_pair_min``; the ring
+Hamming and Lee distances read the book once into rows of symbol indices
+4a + b, the row format of ``cyclic.Code``, and score each word against
+all later words with one lookup in a 16x16 symbol distance table.
 """
 
 from __future__ import annotations
 
-from operator import getitem, ne
+from operator import ne
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode
-from .ring import ALL_ELEMENTS, RingElem, theta_inv
+from .ring import ADD, ALL_ELEMENTS, LEE, NEG, RingElem, theta_inv
 
 _WCC = str.maketrans("ACGT", "TGCA")
 _LETTERS = frozenset("ACGT")
@@ -78,7 +86,7 @@ def _as_book(codebook: Iterable[DnaWord]) -> list[DnaWord]:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise scan: every codebook distance and constraint goes through here.
+# Pairwise scan over strings: the letterwise distance and the constraints.
 # ---------------------------------------------------------------------------
 
 def _same(w):
@@ -120,11 +128,37 @@ def _holds(codebook: Iterable[DnaWord], d: int, image: Callable) -> bool:
     return best is None or best >= d
 
 
-# Symbol distance tables indexed [4a + b][4c + d] by the two ring elements.
-_RING_METRICS = {
-    "hamming": tuple(tuple(int(x != y) for y in ALL_ELEMENTS) for x in ALL_ELEMENTS),
-    "lee": tuple(tuple((x - y).lee_weight() for y in ALL_ELEMENTS) for x in ALL_ELEMENTS),
+# Ring symbol distance tables indexed [x, y] by the symbol indices 4a + b
+# of two elements: whether they differ, and the Lee weight of x - y.
+_LEE, _ADD, _NEG = (np.frombuffer(t, np.uint8) for t in (LEE, ADD, NEG))
+_RING_TABLES = {
+    "hamming": 1 - np.eye(16, dtype=np.uint8),
+    "lee": _LEE[_ADD.reshape(16, 16)[:, _NEG[:16]]],
 }
+
+# Letter index A, C, G, T = 0-3 of each byte.
+_LETTER = np.zeros(256, np.uint8)
+_LETTER[list(b"ACGT")] = range(4)
+
+
+def _letter_pairs(text: str) -> np.ndarray:
+    """4p + q for each codon pq of an ACGT string of even length."""
+    letters = _LETTER[np.frombuffer(text.encode("ascii"), np.uint8)]
+    return letters[0::2] << 2 | letters[1::2]
+
+
+# Symbol index of each codon, indexed by its letter pair 4p + q.
+_CODON_SYMBOL = np.empty(16, np.uint8)
+_CODON_SYMBOL[_letter_pairs("".join(x.codon() for x in ALL_ELEMENTS))] = range(16)
+
+
+def _symbol_rows(words: Sequence[DnaWord]) -> np.ndarray:
+    """The m x n uint8 rows of symbol indices of m ACGT words of one even
+    length 2n."""
+    width = len(words[0]) if words else 0
+    if width % 2 != 0:
+        raise OddLength(f"cannot split {words[0]!r} into codons")
+    return _CODON_SYMBOL[_letter_pairs("".join(words))].reshape(len(words), width // 2)
 
 
 def min_letterwise_distance(codebook: Iterable[DnaWord]) -> int:
@@ -135,11 +169,14 @@ def min_letterwise_distance(codebook: Iterable[DnaWord]) -> int:
 def min_ring_distance(codebook: Iterable[DnaWord], metric: str) -> int:
     """Minimum pairwise ring ``hamming`` or ``lee`` distance over distinct
     words, each read as the ring word it encodes (so of even length)."""
-    if metric not in _RING_METRICS:
+    if metric not in _RING_TABLES:
         raise ValueError(f"unknown ring metric {metric!r}")
-    rows = _RING_METRICS[metric].__getitem__
-    words = [tuple(c.index for c in decode(w)) for w in _as_book(codebook)]
-    return _min_distance(words, lambda x, y: sum(map(getitem, map(rows, x), y)))
+    table = _RING_TABLES[metric]
+    rows = _symbol_rows(_as_book(codebook))
+    if len(rows) < 2:
+        raise TrivialCode("need at least two words")
+    return int(min(table[rows[i], rows[i + 1:]].sum(axis=1).min()
+                   for i in range(len(rows) - 1)))
 
 
 def check_hamming_constraint(codebook: Iterable[DnaWord], d: int) -> bool:

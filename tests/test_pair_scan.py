@@ -1,4 +1,4 @@
-"""The shared pairwise scan against brute force over ordered pairs.
+"""The codebook pair scans against brute force over ordered pairs.
 
 The references below are the plain definitions: every ordered pair of
 distinct words for the distances, every ordered pair (x, y) with
@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from z4udna import dna
 from z4udna.cli import main
-from z4udna.errors import TrivialCode
+from z4udna.cyclic import GeneratorSet, enumerate_code
+from z4udna.errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode
+from z4udna.poly import Poly
 from z4udna.ring import ALL_ELEMENTS
 
 CODONS = tuple(x.codon() for x in ALL_ELEMENTS)
@@ -105,6 +107,55 @@ def test_cli_ring_metrics_match_subtraction(book):
                              "--metric", metric])
             if len(set(book)) < 2:
                 assert code == 2
+                with pytest.raises(TrivialCode):
+                    dna.min_ring_distance(book, metric)
             else:
-                assert (code, out.getvalue()) == (
-                    0, f"{brute_min(book, ring_distance(metric))}\n"), metric
+                expected = brute_min(book, ring_distance(metric))
+                assert (code, out.getvalue()) == (0, f"{expected}\n"), metric
+                assert dna.min_ring_distance(book, metric) == expected, metric
+
+
+def test_ring_distance_of_a_1024_word_code():
+    """Past the size of drawn books: the n=7 code f1 = 1 + x + ... + x^6,
+    f2 = x^3 + 2x^2 + x + 3, against its minimum weights (the code is an
+    additive group)."""
+    code = enumerate_code(GeneratorSet(7, Poly.parse("1,1,1,1,1,1,1"), Poly.parse("3,1,2,1")))
+    book = code.dna_words()
+    assert len(book) == 1024
+    assert dna.min_ring_distance(book, "hamming") == code.min_hamming_distance() == 3
+    assert dna.min_ring_distance(book, "lee") == code.min_lee_distance() == 6
+
+
+@pytest.mark.parametrize("metric, book, error, message", [
+    ("dna", ["AAAA", "AATT"], ValueError, "unknown ring metric 'dna'"),
+    ("gc", ["AAA", "AX"], ValueError, "unknown ring metric 'gc'"),
+    ("hamming", ["AAAA", "AATT", "AAT"], LengthMismatch, None),
+    ("lee", ["AAAA", "AX"], LengthMismatch, None),
+    ("lee", ["AAAA", "AATX"], BadAlphabet, "'AATX'"),
+    ("hamming", ["AXT", "ACT"], BadAlphabet, "'AXT'"),
+    ("hamming", ["ACT", "AAT"], OddLength, "cannot split 'AAT' into codons"),
+    ("lee", ["AAT", "AAT"], OddLength, "cannot split 'AAT' into codons"),
+    ("hamming", ["AAT"], OddLength, "cannot split 'AAT' into codons"),
+    ("hamming", ["AATT", "AATT"], TrivialCode, None),
+    ("lee", ["AATT"], TrivialCode, None),
+    ("lee", [""], TrivialCode, None),
+    ("hamming", [], TrivialCode, None),
+])
+def test_ring_distance_errors_come_in_order(metric, book, error, message):
+    """Unknown metric, then mixed lengths or a non-ACGT letter, then odd
+    length (also with one distinct word), then fewer than two words."""
+    with pytest.raises(error) as excinfo:
+        dna.min_ring_distance(book, metric)
+    assert type(excinfo.value) is error
+    if message is not None:
+        assert message in str(excinfo.value)
+
+
+def test_ring_tables_match_ring_arithmetic():
+    """Each 16x16 table entry, over all 256 pairs, against RingElem, and the
+    codon of each element read back as its symbol index."""
+    for x in ALL_ELEMENTS:
+        for y in ALL_ELEMENTS:
+            assert dna._RING_TABLES["hamming"][x.index, y.index] == int(x != y)
+            assert dna._RING_TABLES["lee"][x.index, y.index] == (x - y).lee_weight()
+    assert dna._symbol_rows(CODONS).tolist() == [[x.index] for x in ALL_ELEMENTS]

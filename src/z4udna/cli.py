@@ -30,8 +30,8 @@ _USAGE_ERRORS = (Z4uError, ValueError, OSError)
 CHECK_PROPERTIES = ("reversible", "rc", "dna", "thm31", "thm32", "thm41", "thm42")
 
 
-def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
+def _add_gen_flags(p: argparse.ArgumentParser, n_required: bool = True) -> None:
+    p.add_argument("--n", type=int, required=n_required)
     p.add_argument("--f1", help="coefficients of f1, ascending")
     p.add_argument("--f2", help="coefficients of f2, ascending")
     p.add_argument("--f14", default="0")
@@ -41,6 +41,8 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _gens_from_args(args) -> GeneratorSet:
+    if args.n is None:
+        raise InvalidGenerators("--n is required without --codebook")
     if not args.f1 or not args.f2:
         raise InvalidGenerators("--f1 and --f2 are required")
     f3 = Poly.parse(args.f3) if args.f3 else None
@@ -158,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("distance", help="minimum distance of a code or codebook")
-    _add_gen_flags(p)
+    # --n is read only without --codebook, where _gens_from_args asks for it.
+    _add_gen_flags(p, n_required=False)
     p.add_argument("--metric", choices=("hamming", "lee", "dna"), default="hamming")
     p.add_argument("--codebook", help="read words from a codebook file instead")
     p.set_defaults(func=cmd_distance)

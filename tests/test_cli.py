@@ -182,6 +182,25 @@ def test_distance_codebook(tmp_path, capsys):
         assert code == 2 and "two words" in err
 
 
+def test_distance_codebook_does_not_need_n(tmp_path, capsys):
+    """--n is optional with --codebook and still accepted there."""
+    book = tmp_path / "book.txt"
+    book.write_text("AAAA\nAATT\n")
+    for metric, expected in (("dna", "2\n"), ("hamming", "1\n"), ("lee", "3\n")):
+        assert run(capsys, "distance", "--codebook", str(book),
+                   "--metric", metric) == (0, expected, "")
+        assert run(capsys, "distance", "--n", "7", "--codebook", str(book),
+                   "--metric", metric) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "--metric", "dna"),
+    ("distance", "--f1", "1,1,1", "--f2", "1,1,1", "--metric", "hamming"),
+])
+def test_distance_without_codebook_needs_n(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: --n is required without --codebook\n")
+
+
 def test_file_errors_are_usage_errors(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     code, out, err = run(capsys, "distance", "--n", "2", "--codebook", str(missing))

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from z4udna import dna
 from z4udna.cli import main
@@ -81,6 +81,16 @@ def codebooks(draw):
     return draw(st.permutations(book))
 
 
+@st.composite
+def letter_books(draw):
+    """Books of raw ACGT words of one length from 1 to 7, odd lengths
+    included, with a repeated word now and then."""
+    length = draw(st.integers(1, 7))
+    words = draw(st.lists(st.text("ACGT", min_size=length, max_size=length),
+                          min_size=1, max_size=12))
+    return words + draw(st.lists(st.sampled_from(words), max_size=2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(codebooks())
 def test_scan_matches_brute_force(book):
@@ -115,13 +125,58 @@ def test_cli_ring_metrics_match_subtraction(book):
                 assert dna.min_ring_distance(book, metric) == expected, metric
 
 
-def test_ring_distance_of_a_1024_word_code():
+@settings(max_examples=150, deadline=None)
+@given(letter_books())
+def test_letterwise_distance_of_raw_words(book):
+    if len(set(book)) < 2:
+        with pytest.raises(TrivialCode):
+            dna.min_letterwise_distance(book)
+    else:
+        assert dna.min_letterwise_distance(book) == brute_min(book, dna.hamming)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(codebooks(), letter_books()))
+def test_letterwise_distance_agrees_with_hamming_constraint(book):
+    """The row kernel against the string scan of the Hamming constraint:
+    the distance is d exactly when the constraint holds at d and not at
+    d + 1."""
+    assume(len(set(book)) >= 2)
+    distance = dna.min_letterwise_distance(book)
+    for d in range(len(book[0]) + 2):
+        exact = (dna.check_hamming_constraint(book, d)
+                 and not dna.check_hamming_constraint(book, d + 1))
+        assert (distance == d) == exact, d
+
+
+@pytest.mark.parametrize("book, error, message", [
+    (["AAAA", "AAT"], LengthMismatch, None),
+    (["AAA", "AX"], LengthMismatch, None),
+    (["AAX", "AAX"], BadAlphabet, "'AAX'"),
+    (["AXT", "ACT"], BadAlphabet, "'AXT'"),
+    (["AAT", "AAT"], TrivialCode, None),
+    (["A"], TrivialCode, None),
+    ([""], TrivialCode, None),
+    ([], TrivialCode, None),
+])
+def test_letterwise_distance_errors_come_in_order(book, error, message):
+    """Mixed lengths or a non-ACGT letter (also with one distinct word),
+    then fewer than two words; an odd length is not an error."""
+    with pytest.raises(error) as excinfo:
+        dna.min_letterwise_distance(book)
+    assert type(excinfo.value) is error
+    if message is not None:
+        assert message in str(excinfo.value)
+
+
+def test_distances_of_a_1024_word_code():
     """Past the size of drawn books: the n=7 code f1 = 1 + x + ... + x^6,
     f2 = x^3 + 2x^2 + x + 3, against its minimum weights (the code is an
-    additive group)."""
+    additive group), and its letterwise distance."""
     code = enumerate_code(GeneratorSet(7, Poly.parse("1,1,1,1,1,1,1"), Poly.parse("3,1,2,1")))
     book = code.dna_words()
     assert len(book) == 1024
+    assert dna.min_letterwise_distance(book) == 3
     assert dna.min_ring_distance(book, "hamming") == code.min_hamming_distance() == 3
     assert dna.min_ring_distance(book, "lee") == code.min_lee_distance() == 6
 

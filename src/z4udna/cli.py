@@ -71,9 +71,8 @@ def cmd_build(args) -> int:
     code = enumerate_code(_gens_from_args(args), args.cap)
     _emit(render_code_export(code, args.format), args.out)
     if args.codebook_out:
-        book = dna.render_codebook(code.dna_words(), comment=f"n={code.n} size={len(code)}")
-        with open(args.codebook_out, "w", encoding="ascii") as fh:
-            fh.write(book)
+        _emit(dna.render_codebook(code.dna_words(), comment=f"n={code.n} size={len(code)}"),
+              args.codebook_out)
     return 0
 
 
@@ -145,14 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_factor)
 
-    for name in ("build", "enumerate"):
-        p = sub.add_parser(name, help="enumerate a code and export it")
-        _add_gen_flags(p)
-        p.add_argument("--format", choices=EXPORT_FORMATS, default="ring")
-        p.add_argument("--out")
-        p.add_argument("--codebook-out", dest="codebook_out",
-                       help="also write the DNA words as a plain codebook file")
-        p.set_defaults(func=cmd_build)
+    p = sub.add_parser("build", aliases=["enumerate"], help="enumerate a code and export it")
+    _add_gen_flags(p)
+    p.add_argument("--format", choices=EXPORT_FORMATS, default="ring")
+    p.add_argument("--out")
+    p.add_argument("--codebook-out", dest="codebook_out",
+                   help="also write the DNA words as a plain codebook file")
+    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("check", help="check a closure property or condition set")
     _add_gen_flags(p)

@@ -18,7 +18,7 @@ import numpy as np
 from . import _dense
 from .errors import InvalidGenerators, TrivialCode, LengthMismatch
 from .poly import Poly, poly_divmod, poly_mod_xn, xn_minus_1
-from .ring import ALL_ELEMENTS, LEE, RingElem, U
+from .ring import ALL_ELEMENTS, CODON, GRAY, LEE, TEXT, RingElem, U
 
 DEFAULT_CAP = 1 << 20
 
@@ -29,11 +29,7 @@ _LEE = np.frombuffer(LEE, dtype=np.uint8)
 CodeWord = tuple[RingElem, ...]
 
 # Text of each symbol in each export format, indexed by 4a + b.
-_SYMBOL_TEXT = {
-    "ring": tuple(str(x) for x in ALL_ELEMENTS),
-    "dna": tuple(x.codon() for x in ALL_ELEMENTS),
-    "gray": tuple(x.gray_str() for x in ALL_ELEMENTS),
-}
+_SYMBOL_TEXT = {"ring": TEXT, "dna": CODON, "gray": GRAY}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ codon per symbol.  Reversal of a DNA word here means reversal of the
 *codon* order (the symbol-level reversal of the underlying ring word),
 not strand reversal of individual letters; complement is letterwise
 Watson-Crick pairing, which coincides with the ring-level complement
-through the codon table.
+through the codon table.  That table is ``ring.CODON``, indexed by the
+symbol index 4a + b; ``encode`` indexes it and ``decode`` and the row
+readers below read through its inverse ``_CODON_SYMBOL``.
 
 Codebook distances and constraints take a book of distinct words.  Every
 codebook distance reads the book once into rows, letter indices A, C, G,
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode
-from .ring import ADD, ALL_ELEMENTS, LEE, NEG, RingElem, theta_inv
+from .ring import ADD, ALL_ELEMENTS, CODON, LEE, NEG, RingElem
 
 _WCC = str.maketrans("ACGT", "TGCA")
 _LETTERS = frozenset("ACGT")
@@ -33,24 +35,25 @@ _LETTERS = frozenset("ACGT")
 DnaWord = str
 
 
+def _require_acgt(d: DnaWord) -> None:
+    if set(d) - _LETTERS:
+        raise BadAlphabet(f"letters outside ACGT in {d!r}")
+
+
 def encode(w: Sequence[RingElem]) -> DnaWord:
     """Concatenate the codon of each symbol."""
-    return "".join(c.codon() for c in w)
+    return "".join([CODON[c.index] for c in w])
 
 
 def decode(d: DnaWord) -> tuple[RingElem, ...]:
-    """Inverse of encode; validates alphabet and even length."""
-    if set(d) - _LETTERS:
-        raise BadAlphabet(f"letters outside ACGT in {d!r}")
-    if len(d) % 2 != 0:
-        raise OddLength(f"cannot split {d!r} into codons")
-    return tuple(theta_inv(d[i:i + 2]) for i in range(0, len(d), 2))
+    """Inverse of encode; validates alphabet, then even length."""
+    _require_acgt(d)
+    return tuple(ALL_ELEMENTS[k] for k in _symbol_rows([d])[0].tolist())
 
 
 def letterwise_complement(d: DnaWord) -> DnaWord:
     """A<->T, C<->G in place."""
-    if set(d) - _LETTERS:
-        raise BadAlphabet(f"letters outside ACGT in {d!r}")
+    _require_acgt(d)
     return d.translate(_WCC)
 
 
@@ -62,7 +65,10 @@ def reverse_word(d: DnaWord) -> DnaWord:
 
 
 def reverse_complement_word(d: DnaWord) -> DnaWord:
-    return reverse_word(letterwise_complement(d))
+    """Codon reversal of the letterwise complement; validates alphabet,
+    then even length, and names ``d`` itself in either error."""
+    _require_acgt(d)
+    return reverse_word(d).translate(_WCC)
 
 
 def gc_content(d: DnaWord) -> int:
@@ -83,8 +89,7 @@ def _as_book(codebook: Iterable[DnaWord]) -> list[DnaWord]:
     if len({len(w) for w in words}) != 1:
         raise LengthMismatch("words must share one length")
     for w in words:
-        if set(w) - _LETTERS:
-            raise BadAlphabet(f"letters outside ACGT in {w!r}")
+        _require_acgt(w)
     return words
 
 
@@ -156,10 +161,10 @@ def _codon_pairs(letters: np.ndarray) -> np.ndarray:
     return letters[:, 0::2] << 2 | letters[:, 1::2]
 
 
-# Symbol index of each codon, indexed by its letter pair 4p + q.
-_CODONS = [x.codon() for x in ALL_ELEMENTS]
+# Symbol index of each codon, indexed by its letter pair 4p + q: the inverse
+# of ring.CODON.
 _CODON_SYMBOL = np.empty(16, np.uint8)
-_CODON_SYMBOL[_codon_pairs(_letter_rows(_CODONS))[:, 0]] = range(16)
+_CODON_SYMBOL[_codon_pairs(_letter_rows(CODON))[:, 0]] = range(16)
 
 
 def _symbol_rows(words: Sequence[DnaWord]) -> np.ndarray:
@@ -226,8 +231,7 @@ def parse_codebook(text: str) -> list[DnaWord]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if set(line) - _LETTERS:
-            raise BadAlphabet(f"letters outside ACGT in {line!r}")
+        _require_acgt(line)
         words.append(line)
     return words
 

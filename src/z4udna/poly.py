@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedLength,
     ZeroPolynomial,
 )
-from .ring import ADD, ALL_ELEMENTS, INV, MUL, NEG, SCALE, RingElem, solve_unit
+from .ring import ADD, ALL_ELEMENTS, INV, MUL, NEG, SCALE, TEXT, RingElem, solve_unit
 
 #: Largest supported code length for the factorization routines.
 LENGTH_CAP = 63
@@ -164,7 +164,7 @@ class Poly:
         return hash(self.symbols)
 
     def __str__(self):
-        return ",".join(map(str, self.coeffs)) or "0"
+        return ",".join([TEXT[k] for k in self.symbols]) or "0"
 
     def __repr__(self):
         return f"Poly({str(self)!r})"

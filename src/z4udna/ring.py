@@ -4,15 +4,23 @@ Elements are written ``a + u*b`` with ``a, b`` residues mod 4.  The ring is
 local with maximal ideal <2, u> and has characteristic 4; an element is a
 unit exactly when its Z4 part ``a`` is odd.
 
-Three fixed element-level maps matter downstream:
+Each element has a symbol index 4a + b, its position in ``ALL_ELEMENTS``
+and its format in ``Poly.symbols`` and code rows.  Its three text forms
+are stated once, as 16-entry tuples over that index:
 
-* ``codon``: a bijection onto the 16 nucleotide pairs over {A, C, G, T},
-  chosen so that the ring complement ``x -> (1+u) - x`` matches the
-  letterwise Watson-Crick complement (A<->T, C<->G) of the pair.
-* ``gray_bits``: the 4-bit image ``a + u*b -> (beta(b), gamma(b),
-  beta(a+b), gamma(a+b))`` built from the Z4 Gray pairs; it carries the
-  Lee metric on the ring to the Hamming metric on bits.
-* ``lee_weight``: Lee weight of the Z4 pair ``(b, a+b)``.
+* ``TEXT``: ``a``, ``bu`` or ``a+bu``; ``RingElem.parse`` accepts exactly
+  these 16 strings.
+* ``CODON``: the codon map theta onto the 16 nucleotide pairs, chosen so
+  that the ring complement ``x -> (1+u) - x`` matches the letterwise
+  Watson-Crick complement (A<->T, C<->G); ``theta_inv`` is its inverse.
+* ``GRAY``: the 4-bit image ``(beta(b), gamma(b), beta(a+b), gamma(a+b))``
+  of ``a + u*b``, from the 2-adic digits c = alpha + 2*beta and gamma =
+  alpha + beta mod 2; it carries the Lee metric to the Hamming metric.
+
+``RingElem``'s arithmetic, ``complement`` and ``lee_weight`` (of the Z4
+pair ``(b, a+b)``) stay on their (a, b) formulas, not on the index tables
+``ADD``, ``MUL``, ``INV``, ``COMPLEMENT`` and ``LEE``: the tests use them
+as the independent reference for those tables.
 
 No element equals its own complement (2x = 1+u has no solution), which is
 what makes length-preserving reverse-complement codes possible at all.
@@ -20,27 +28,24 @@ what makes length-preserving reverse-complement codes possible at all.
 
 from __future__ import annotations
 
-import re
-
-# 2-adic digits of c in Z4: c = alpha + 2*beta, and gamma = alpha + beta mod 2.
-BETA = (0, 0, 1, 1)
-GAMMA = (0, 1, 1, 0)
-
 # Lee weight on Z4: min(c, 4 - c).
 LEE_Z4 = (0, 1, 2, 1)
 
-# Codon attached to (a, b).  Watson-Crick pairs sit at complementary
-# ring elements: (a, b) and (1 - a, 1 - b) always map to letterwise
-# complementary pairs.
-_CODON_OF = {
-    (0, 0): "AA", (1, 1): "TT", (1, 0): "GG", (0, 1): "CC",
-    (2, 0): "AT", (3, 1): "TA", (3, 0): "GC", (2, 1): "CG",
-    (0, 2): "GT", (1, 3): "CA", (0, 3): "AC", (1, 2): "TG",
-    (2, 3): "CT", (3, 2): "GA", (2, 2): "AG", (3, 3): "TC",
-}
-_ELEM_OF_CODON = {v: k for k, v in _CODON_OF.items()}
-
-_TEXT_RE = re.compile(r"^(?:([0-3])|([23])?u|([1-3])\+([23])?u)$")
+# The text, codon and Gray forms of each element, indexed by 4a + b, one
+# row per Z4 part a.  Watson-Crick pairs sit at complementary elements:
+# (a, b) and (1 - a, 1 - b) always map to letterwise complementary codons.
+TEXT = ("0", "u", "2u", "3u",
+        "1", "1+u", "1+2u", "1+3u",
+        "2", "2+u", "2+2u", "2+3u",
+        "3", "3+u", "3+2u", "3+3u")
+CODON = ("AA", "CC", "GT", "AC",
+         "GG", "TT", "TG", "CA",
+         "AT", "CG", "AG", "CT",
+         "GC", "TA", "GA", "TC")
+GRAY = ("0000", "0101", "1111", "1010",
+        "0001", "0111", "1110", "1000",
+        "0011", "0110", "1100", "1001",
+        "0010", "0100", "1101", "1011")
 
 
 class RingElem:
@@ -56,18 +61,13 @@ class RingElem:
     def parse(cls, text: str) -> "RingElem":
         """Parse the canonical text form: ``a``, ``bu`` or ``a+bu``.
 
-        Accepts exactly what ``str`` emits, e.g. ``0``, ``3``, ``u``,
-        ``2u``, ``1+u``, ``3+2u``.  Anything else (``1u``, ``0+2u``,
-        whitespace, ...) is rejected.
+        Accepts exactly the 16 strings of ``TEXT``, which is what ``str``
+        emits, e.g. ``0``, ``3``, ``u``, ``2u``, ``1+u``, ``3+2u``.
+        Anything else (``1u``, ``0+2u``, whitespace, ...) is rejected.
         """
-        m = _TEXT_RE.match(text)
-        if not m:
+        if text not in TEXT:
             raise ValueError(f"not a ring element: {text!r}")
-        if m.group(1) is not None:
-            return cls(int(m.group(1)), 0)
-        if m.group(3) is not None:
-            return cls(int(m.group(3)), int(m.group(4) or 1))
-        return cls(0, int(m.group(2) or 1))
+        return cls(*divmod(TEXT.index(text), 4))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -115,12 +115,7 @@ class RingElem:
         return self.a != 0 or self.b != 0
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        ustr = "u" if self.b == 1 else f"{self.b}u"
-        if self.a == 0:
-            return ustr
-        return f"{self.a}+{ustr}"
+        return TEXT[self.index]
 
     def __repr__(self):
         return f"RingElem({self.a}, {self.b})"
@@ -148,14 +143,13 @@ class RingElem:
         return LEE_Z4[self.b] + LEE_Z4[(self.a + self.b) % 4]
 
     def gray_bits(self) -> tuple[int, int, int, int]:
-        s = (self.a + self.b) % 4
-        return (BETA[self.b], GAMMA[self.b], BETA[s], GAMMA[s])
+        return tuple(map(int, GRAY[self.index]))
 
     def gray_str(self) -> str:
-        return "".join(map(str, self.gray_bits()))
+        return GRAY[self.index]
 
     def codon(self) -> str:
-        return _CODON_OF[(self.a, self.b)]
+        return CODON[self.index]
 
 
 def _coerce(value) -> RingElem | None:
@@ -197,8 +191,6 @@ def solve_unit(x: int, y: int) -> int | None:
 
 def theta_inv(codon: str) -> RingElem:
     """Inverse of ``RingElem.codon``; raises ValueError on unknown pairs."""
-    try:
-        a, b = _ELEM_OF_CODON[codon]
-    except KeyError:
-        raise ValueError(f"not a codon: {codon!r}") from None
-    return RingElem(a, b)
+    if codon not in CODON:
+        raise ValueError(f"not a codon: {codon!r}")
+    return ALL_ELEMENTS[CODON.index(codon)]

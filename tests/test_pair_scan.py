@@ -206,6 +206,30 @@ def test_ring_distance_errors_come_in_order(metric, book, error, message):
         assert message in str(excinfo.value)
 
 
+@pytest.mark.parametrize("constraint, book, error, message", [
+    ("reverse", ["AAAA", "AAT"], LengthMismatch, None),
+    ("rc", ["AXT", "ACT"], BadAlphabet, "'AXT'"),
+    ("reverse", ["ACT", "AAT"], OddLength, "cannot split 'AAT' into codons"),
+    ("rc", ["ACT", "AAT"], OddLength, "cannot split 'AAT' into codons"),
+    ("rc", ["ACG"], OddLength, "cannot split 'ACG' into codons"),
+])
+def test_constraint_errors_come_in_order(constraint, book, error, message):
+    """Mixed lengths or a non-ACGT letter, then odd length, which names the
+    first sorted book word and never its reverse-complement."""
+    with pytest.raises(error) as excinfo:
+        CONSTRAINTS[constraint](book, 1)
+    assert type(excinfo.value) is error
+    if message is not None:
+        assert message in str(excinfo.value)
+
+
+def test_reverse_complement_word_checks_letters_first():
+    with pytest.raises(BadAlphabet, match="'AXT'"):
+        dna.reverse_complement_word("AXT")
+    with pytest.raises(OddLength, match="'ACG'"):
+        dna.reverse_complement_word("ACG")
+
+
 def test_ring_tables_match_ring_arithmetic():
     """Each 16x16 table entry, over all 256 pairs, against RingElem, and the
     codon of each element read back as its symbol index."""

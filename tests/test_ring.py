@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from z4udna.poly import Poly
 from z4udna.ring import (
     ALL_ELEMENTS,
     COMPLEMENT,
@@ -166,3 +167,31 @@ def test_text_round_trip():
 def test_parse_rejects_noncanonical(bad):
     with pytest.raises(ValueError):
         RingElem.parse(bad)
+
+
+# The 16 canonical texts and the (a, b) of the element each one names.
+CANONICAL_TEXT = {
+    "0": (0, 0), "u": (0, 1), "2u": (0, 2), "3u": (0, 3),
+    "1": (1, 0), "1+u": (1, 1), "1+2u": (1, 2), "1+3u": (1, 3),
+    "2": (2, 0), "2+u": (2, 1), "2+2u": (2, 2), "2+3u": (2, 3),
+    "3": (3, 0), "3+u": (3, 1), "3+2u": (3, 2), "3+3u": (3, 3),
+}
+
+
+def test_text_format_is_exactly_the_canonical_forms():
+    """Every string of length <= 4 over 0123u+, and two with a space: the
+    element parser accepts exactly the 16 canonical forms, each naming the
+    element whose text it is, and the polynomial parser rejects every other
+    string as a coefficient, by name."""
+    texts = ["".join(p) for k in range(5) for p in itertools.product("0123u+", repeat=k)]
+    for text in texts + [" 1", "1 "]:
+        if text in CANONICAL_TEXT:
+            x = RingElem.parse(text)
+            assert ((x.a, x.b), str(x)) == (CANONICAL_TEXT[text], text)
+            assert Poly.parse(f"1,{text},1").coeffs[1] == x
+            continue
+        with pytest.raises(ValueError, match=r"^not a ring element: "):
+            RingElem.parse(text)
+        with pytest.raises(ValueError) as excinfo:
+            Poly.parse(f"1,{text},1")
+        assert str(excinfo.value) == f"not a ring element: {text!r}"

@@ -10,13 +10,20 @@ symbol index 4a + b; ``encode`` indexes it and ``decode`` and the row
 readers below read through its inverse ``_CODON_SYMBOL``.
 
 Codebook distances and constraints take a book of distinct words.  Every
-codebook distance reads the book once into rows, letter indices A, C, G,
-T = 0-3 for the letterwise distance and symbol indices 4a + b (the row
-format of ``cyclic.Code``) for the ring Hamming and Lee distances, and
-scores each word against all later words with one lookup in a letter or
-symbol distance table (``_row_min``): about 80 ms for the letterwise
-distance of the 1024 words of an n = 7 code on a shared 2-vCPU machine.
-The constraints still compare strings pair by pair in ``_pair_min``.
+codebook distance, and the reverse and reverse-complement constraints,
+read the book once into rows, letter indices A, C, G, T = 0-3 for the
+letterwise distance and the constraints and symbol indices 4a + b (the
+row format of ``cyclic.Code``) for the ring Hamming and Lee distances.
+One kernel, ``_row_min``, scores the image of each word (the word itself,
+its codon reversal or its reverse-complement) against the word and all
+later words with one lookup in a letter or symbol distance table, and
+stops at the first score below the constraint's bound: about 80 ms for
+the letterwise distance, and as much for a reverse or RC constraint
+that holds, on the 1024 words of an n = 7 code on a shared 2-vCPU
+machine.  The Hamming constraint still compares strings pair by pair in
+``_pair_min``: the ``codebook`` benchmark keeps every span it records, so
+faster passes hold more memory, and moving all three constraints at once
+raised that workload's peak memory past its 10% bound.
 """
 
 from __future__ import annotations
@@ -40,6 +47,11 @@ def _require_acgt(d: DnaWord) -> None:
         raise BadAlphabet(f"letters outside ACGT in {d!r}")
 
 
+def _require_codons(d: DnaWord) -> None:
+    if len(d) % 2 != 0:
+        raise OddLength(f"cannot split {d!r} into codons")
+
+
 def encode(w: Sequence[RingElem]) -> DnaWord:
     """Concatenate the codon of each symbol."""
     return "".join([CODON[c.index] for c in w])
@@ -58,16 +70,16 @@ def letterwise_complement(d: DnaWord) -> DnaWord:
 
 
 def reverse_word(d: DnaWord) -> DnaWord:
-    """Reverse the codon order, keeping letters within each codon."""
-    if len(d) % 2 != 0:
-        raise OddLength(f"cannot split {d!r} into codons")
+    """Reverse the codon order, keeping letters within each codon;
+    validates alphabet, then even length."""
+    _require_acgt(d)
+    _require_codons(d)
     return "".join(d[i:i + 2] for i in range(len(d) - 2, -2, -2))
 
 
 def reverse_complement_word(d: DnaWord) -> DnaWord:
     """Codon reversal of the letterwise complement; validates alphabet,
     then even length, and names ``d`` itself in either error."""
-    _require_acgt(d)
     return reverse_word(d).translate(_WCC)
 
 
@@ -94,43 +106,27 @@ def _as_book(codebook: Iterable[DnaWord]) -> list[DnaWord]:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise scan over strings: the constraints.
+# Pairwise scan over strings: the Hamming constraint.
 # ---------------------------------------------------------------------------
 
-def _same(w):
-    return w
-
-
-def _pair_min(words: Sequence[DnaWord], image: Callable, floor: int) -> int | None:
-    """Least ``hamming(image(x), y)`` over the words x, y of a book of
-    distinct words, skipping every pair with image(x) == y; None when all
-    pairs are skipped.  Returns the first value found below ``floor``.
-
-    ``image`` is the identity, codon reversal or reverse-complement, an
-    involution that preserves ``hamming``, so (x, y) scores what (y, x)
-    scores and the unordered pairs, each word with itself included, cover
-    every ordered pair.
-    """
+def _pair_min(words: Sequence[DnaWord], floor: int) -> int | None:
+    """Least ``hamming(x, y)`` over the pairs of distinct words x, y of a
+    book, None for fewer than two words.  Returns the first value found
+    below ``floor``."""
     best = None
     for i, x in enumerate(words):
-        ix = image(x)
-        for y in words[i:]:
-            if ix != y:
-                dist = hamming(ix, y)
-                if best is None or dist < best:
-                    if dist < floor:
-                        return dist
-                    best = dist
+        for y in words[i + 1:]:
+            dist = hamming(x, y)
+            if best is None or dist < best:
+                if dist < floor:
+                    return dist
+                best = dist
     return best
 
 
-def _holds(codebook: Iterable[DnaWord], d: int, image: Callable) -> bool:
-    best = _pair_min(_as_book(codebook), image, d)
-    return best is None or best >= d
-
-
 # ---------------------------------------------------------------------------
-# Codebook distances on rows: one table lookup per word against later words.
+# Codebook distances and the reverse and RC constraints on rows: one table
+# lookup per word against itself and all later words.
 # ---------------------------------------------------------------------------
 
 # Distance tables indexed [x, y] by two letter indices or two ring symbol
@@ -167,27 +163,63 @@ _CODON_SYMBOL = np.empty(16, np.uint8)
 _CODON_SYMBOL[_codon_pairs(_letter_rows(CODON))[:, 0]] = range(16)
 
 
+def _codon_letters(words: Sequence[DnaWord]) -> np.ndarray:
+    """The letter rows of ACGT words of one even length; the error names
+    the first word."""
+    if words:
+        _require_codons(words[0])
+    return _letter_rows(words)
+
+
 def _symbol_rows(words: Sequence[DnaWord]) -> np.ndarray:
     """The m x n uint8 rows of symbol indices of m ACGT words of one even
     length 2n."""
-    if words and len(words[0]) % 2 != 0:
-        raise OddLength(f"cannot split {words[0]!r} into codons")
-    return _CODON_SYMBOL[_codon_pairs(_letter_rows(words))]
+    return _CODON_SYMBOL[_codon_pairs(_codon_letters(words))]
 
 
-def _row_min(rows: np.ndarray, table: np.ndarray) -> int:
-    """Least distance over the pairs of rows of a book of distinct words,
-    scoring a pair by the ``table`` entries of its letters or symbols,
-    summed along the row."""
-    if len(rows) < 2:
+def _reversed_letters(letters: np.ndarray) -> np.ndarray:
+    """Codon reversal of letter rows of even width."""
+    m, width = letters.shape
+    return letters.reshape(m, width // 2, 2)[:, ::-1].reshape(m, width)
+
+
+def _row_min(rows: np.ndarray, table: np.ndarray, image: np.ndarray | None = None,
+             floor: int = 0) -> int | None:
+    """Least nonzero score of ``image[i]`` against ``rows[j]``, j >= i, over
+    the rows of a book of distinct words, scoring a pair by the ``table``
+    entries of its letters or symbols summed along the row; None when no
+    score is nonzero.  Returns a score below ``floor`` as soon as one is
+    found.
+
+    ``image`` defaults to ``rows``, giving the least distance over pairs of
+    distinct words.  Otherwise it holds the codon reversal or the
+    reverse-complement of each row, an involution that preserves distance,
+    so (x, y) scores what (y, x) scores and j >= i covers every ordered
+    pair; a score is zero exactly when image(x) == y.
+    """
+    if image is None:
+        image = rows
+    lows = []
+    for i, x in enumerate(image):
+        scores = table[x, rows[i:]].sum(axis=1)
+        scores = scores[scores > 0]
+        if scores.size:
+            lows.append(int(scores.min()))
+            if lows[-1] < floor:
+                break
+    return min(lows, default=None)
+
+
+def _min_distance(rows: np.ndarray, table: np.ndarray) -> int:
+    best = _row_min(rows, table)
+    if best is None:
         raise TrivialCode("need at least two words")
-    return int(min(table[rows[i], rows[i + 1:]].sum(axis=1).min()
-                   for i in range(len(rows) - 1)))
+    return best
 
 
 def min_letterwise_distance(codebook: Iterable[DnaWord]) -> int:
     """Minimum pairwise letterwise Hamming distance over distinct words."""
-    return _row_min(_letter_rows(_as_book(codebook)), _LETTER_TABLE)
+    return _min_distance(_letter_rows(_as_book(codebook)), _LETTER_TABLE)
 
 
 def min_ring_distance(codebook: Iterable[DnaWord], metric: str) -> int:
@@ -195,24 +227,33 @@ def min_ring_distance(codebook: Iterable[DnaWord], metric: str) -> int:
     words, each read as the ring word it encodes (so of even length)."""
     if metric not in _RING_TABLES:
         raise ValueError(f"unknown ring metric {metric!r}")
-    return _row_min(_symbol_rows(_as_book(codebook)), _RING_TABLES[metric])
+    return _min_distance(_symbol_rows(_as_book(codebook)), _RING_TABLES[metric])
+
+
+def _holds(best: int | None, d: int) -> bool:
+    return best is None or best >= d
+
+
+def _image_holds(codebook: Iterable[DnaWord], d: int, image: Callable) -> bool:
+    letters = _codon_letters(_as_book(codebook))
+    return _holds(_row_min(letters, _LETTER_TABLE, image(letters), d), d)
 
 
 def check_hamming_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
     """All distinct pairs at letterwise distance >= d."""
-    return _holds(codebook, d, _same)
+    return _holds(_pair_min(_as_book(codebook), d), d)
 
 
 def check_reverse_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
     """H(reverse(x), y) >= d over ordered pairs, skipping the coincidence
     reverse(x) == y (so palindromes do not fail against themselves)."""
-    return _holds(codebook, d, reverse_word)
+    return _image_holds(codebook, d, _reversed_letters)
 
 
 def check_rc_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
     """Same as the reverse constraint with reverse-complement in place of
-    reverse."""
-    return _holds(codebook, d, reverse_complement_word)
+    reverse; the complement of letter index x is 3 - x."""
+    return _image_holds(codebook, d, lambda letters: 3 - _reversed_letters(letters))
 
 
 def check_gc_constraint(codebook: Iterable[DnaWord]) -> bool:

@@ -11,6 +11,7 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -181,6 +182,52 @@ def test_distances_of_a_1024_word_code():
     assert dna.min_ring_distance(book, "lee") == code.min_lee_distance() == 6
 
 
+def full_image_min(words, image):
+    """Least letterwise distance from image(x) to y over all m x m ordered
+    pairs of a book, skipping image(x) == y: one broadcast comparison of the
+    raw ASCII bytes."""
+    m, width = len(words), len(words[0])
+
+    def ascii_rows(ws):
+        return np.frombuffer("".join(ws).encode("ascii"), np.uint8).reshape(m, width)
+
+    dists = (ascii_rows(map(image, words))[:, None] != ascii_rows(words)[None]).sum(axis=2)
+    return int(dists[dists > 0].min())
+
+
+@pytest.mark.parametrize("f1, size, distances", [
+    ("1,1,1,1,1,1,1", 1024, {"reverse": 1, "rc": 1}),
+    ("3,0,0,0,0,0,0,1", 256, {"hamming": 3, "reverse": 1, "rc": 7}),
+])
+def test_constraints_of_n7_codes_at_their_bounds(f1, size, distances):
+    """Each constraint holds at the least distance of a full m x m reference
+    and fails one above it, on the 1024-word n=7 code and on the 256-word
+    code of the ``codebook`` benchmark workload (f2 = x^3 + 2x^2 + x + 3)."""
+    book = enumerate_code(GeneratorSet(7, Poly.parse(f1), Poly.parse("3,1,2,1"))).dna_words()
+    assert len(book) == size
+    for name, d in distances.items():
+        assert full_image_min(book, IMAGES[name]) == d, name
+        assert CONSTRAINTS[name](book, d), name
+        assert not CONSTRAINTS[name](book, d + 1), name
+
+
+@pytest.mark.parametrize("book", [
+    [],
+    ["ACGTAC"],
+    ["AAAT"],
+    ["AACG", dna.reverse_word("AACG")],
+    ["AACG", dna.reverse_complement_word("AACG")],
+], ids=["empty", "palindrome", "self-distance-2", "with-reverse", "with-rc"])
+def test_constraint_edge_cases_match_brute_force(book):
+    """An empty book; one word that is its own codon reversal; one word at
+    distance 2 from its own reverse and its own RC, so d = 2 holds and
+    d = 3 fails; a word beside its own reverse and beside its own RC, the
+    pairs every constraint skips.  Every d from 0 to the length + 1."""
+    for name, check in CONSTRAINTS.items():
+        for d in range(6 if not book else len(book[0]) + 2):
+            assert check(book, d) == brute_holds(book, d, IMAGES[name]), (name, d)
+
+
 @pytest.mark.parametrize("metric, book, error, message", [
     ("dna", ["AAAA", "AATT"], ValueError, "unknown ring metric 'dna'"),
     ("gc", ["AAA", "AX"], ValueError, "unknown ring metric 'gc'"),
@@ -221,6 +268,16 @@ def test_constraint_errors_come_in_order(constraint, book, error, message):
     assert type(excinfo.value) is error
     if message is not None:
         assert message in str(excinfo.value)
+
+
+def test_reverse_word_checks_letters_first():
+    """As reverse_complement_word and letterwise_complement do: a letter
+    outside ACGT is BadAlphabet, also in a word of odd length."""
+    for word in ("AXGT", "AXG"):
+        with pytest.raises(BadAlphabet, match=repr(word)):
+            dna.reverse_word(word)
+    with pytest.raises(OddLength, match="'ACG'"):
+        dna.reverse_word("ACG")
 
 
 def test_reverse_complement_word_checks_letters_first():

@@ -10,20 +10,18 @@ symbol index 4a + b; ``encode`` indexes it and ``decode`` and the row
 readers below read through its inverse ``_CODON_SYMBOL``.
 
 Codebook distances and constraints take a book of distinct words.  Every
-codebook distance, and the reverse and reverse-complement constraints,
-read the book once into rows, letter indices A, C, G, T = 0-3 for the
-letterwise distance and the constraints and symbol indices 4a + b (the
-row format of ``cyclic.Code``) for the ring Hamming and Lee distances.
-One kernel, ``_row_min``, scores the image of each word (the word itself,
-its codon reversal or its reverse-complement) against the word and all
-later words with one lookup in a letter or symbol distance table, and
-stops at the first score below the constraint's bound: about 80 ms for
-the letterwise distance, and as much for a reverse or RC constraint
-that holds, on the 1024 words of an n = 7 code on a shared 2-vCPU
-machine.  The Hamming constraint still compares strings pair by pair in
-``_pair_min``: the ``codebook`` benchmark keeps every span it records, so
-faster passes hold more memory, and moving all three constraints at once
-raised that workload's peak memory past its 10% bound.
+codebook distance and constraint reads the book once into rows, letter
+indices A, C, G, T = 0-3 for the letterwise distance and the constraints
+and symbol indices 4a + b (the row format of ``cyclic.Code``) for the
+ring Hamming and Lee distances.  One kernel, ``_row_min``, scores the
+image of each word (the word itself, its codon reversal or its
+reverse-complement) against the word and all later words with one lookup
+in a letter or symbol distance table, and stops at the first score below
+the constraint's bound.  On the 1024 words of an n = 7 code, on a shared
+2-vCPU machine, the letterwise distance and a Hamming, reverse or RC
+constraint that holds each take 80 to 90 ms (the Hamming constraint took
+about 0.56 s as a scan over strings).  The GC constraint counts the
+letters C and G on the same rows.
 """
 
 from __future__ import annotations
@@ -106,27 +104,8 @@ def _as_book(codebook: Iterable[DnaWord]) -> list[DnaWord]:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise scan over strings: the Hamming constraint.
-# ---------------------------------------------------------------------------
-
-def _pair_min(words: Sequence[DnaWord], floor: int) -> int | None:
-    """Least ``hamming(x, y)`` over the pairs of distinct words x, y of a
-    book, None for fewer than two words.  Returns the first value found
-    below ``floor``."""
-    best = None
-    for i, x in enumerate(words):
-        for y in words[i + 1:]:
-            dist = hamming(x, y)
-            if best is None or dist < best:
-                if dist < floor:
-                    return dist
-                best = dist
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Codebook distances and the reverse and RC constraints on rows: one table
-# lookup per word against itself and all later words.
+# Codebook distances and constraints on rows: one table lookup per word
+# against itself and all later words.
 # ---------------------------------------------------------------------------
 
 # Distance tables indexed [x, y] by two letter indices or two ring symbol
@@ -240,8 +219,9 @@ def _image_holds(codebook: Iterable[DnaWord], d: int, image: Callable) -> bool:
 
 
 def check_hamming_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
-    """All distinct pairs at letterwise distance >= d."""
-    return _holds(_pair_min(_as_book(codebook), d), d)
+    """All distinct pairs at letterwise distance >= d; any word length."""
+    letters = _letter_rows(_as_book(codebook))
+    return _holds(_row_min(letters, _LETTER_TABLE, None, d), d)
 
 
 def check_reverse_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
@@ -257,9 +237,9 @@ def check_rc_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
 
 
 def check_gc_constraint(codebook: Iterable[DnaWord]) -> bool:
-    """All words share one GC count."""
-    words = _as_book(codebook)
-    return len({gc_content(w) for w in words}) <= 1
+    """All words share one GC count: letters C and G are indices 1 and 2."""
+    letters = _letter_rows(_as_book(codebook))
+    return np.unique(((letters == 1) | (letters == 2)).sum(axis=1)).size <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -136,12 +136,20 @@ def test_letterwise_distance_of_raw_words(book):
         assert dna.min_letterwise_distance(book) == brute_min(book, dna.hamming)
 
 
+@settings(max_examples=150, deadline=None)
+@given(letter_books())
+def test_hamming_constraint_of_raw_words(book):
+    """Odd lengths included: letterwise Hamming needs no codons."""
+    for d in range(len(book[0]) + 2):
+        assert dna.check_hamming_constraint(book, d) == brute_holds(book, d, IMAGES["hamming"]), d
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(codebooks(), letter_books()))
 def test_letterwise_distance_agrees_with_hamming_constraint(book):
-    """The row kernel against the string scan of the Hamming constraint:
-    the distance is d exactly when the constraint holds at d and not at
-    d + 1."""
+    """Two paths through the row kernel, the least distance and the
+    constraint with its early exit at ``d``: the distance is d exactly when
+    the constraint holds at d and not at d + 1."""
     assume(len(set(book)) >= 2)
     distance = dna.min_letterwise_distance(book)
     for d in range(len(book[0]) + 2):
@@ -196,7 +204,7 @@ def full_image_min(words, image):
 
 
 @pytest.mark.parametrize("f1, size, distances", [
-    ("1,1,1,1,1,1,1", 1024, {"reverse": 1, "rc": 1}),
+    ("1,1,1,1,1,1,1", 1024, {"hamming": 3, "reverse": 1, "rc": 1}),
     ("3,0,0,0,0,0,0,1", 256, {"hamming": 3, "reverse": 1, "rc": 7}),
 ])
 def test_constraints_of_n7_codes_at_their_bounds(f1, size, distances):
@@ -259,15 +267,71 @@ def test_ring_distance_errors_come_in_order(metric, book, error, message):
     ("reverse", ["ACT", "AAT"], OddLength, "cannot split 'AAT' into codons"),
     ("rc", ["ACT", "AAT"], OddLength, "cannot split 'AAT' into codons"),
     ("rc", ["ACG"], OddLength, "cannot split 'ACG' into codons"),
+    ("hamming", ["AAAA", "AAT"], LengthMismatch, None),
+    ("gc", ["AAAA", "AAT"], LengthMismatch, None),
+    ("hamming", ["AAA", "AX"], LengthMismatch, None),
+    ("hamming", ["AYT", "ACT", "AXT"], BadAlphabet, "'AXT'"),
+    ("gc", ["GCX", "ACT", "AAX"], BadAlphabet, "'AAX'"),
+    ("gc", ["AAX"], BadAlphabet, "'AAX'"),
 ])
 def test_constraint_errors_come_in_order(constraint, book, error, message):
-    """Mixed lengths or a non-ACGT letter, then odd length, which names the
-    first sorted book word and never its reverse-complement."""
+    """Mixed lengths, then a non-ACGT letter naming the first sorted bad
+    word, also with one word; then, for reverse and RC, odd length, which
+    names the first sorted book word and never its reverse-complement."""
+    check = {**CONSTRAINTS, "gc": lambda b, d: dna.check_gc_constraint(b)}[constraint]
     with pytest.raises(error) as excinfo:
-        CONSTRAINTS[constraint](book, 1)
+        check(book, 1)
     assert type(excinfo.value) is error
     if message is not None:
         assert message in str(excinfo.value)
+
+
+def test_hamming_and_gc_constraints_take_odd_lengths():
+    """Unlike the reverse and RC constraints, which raise OddLength."""
+    assert dna.check_hamming_constraint(["ACT", "AAT"], 1)
+    assert not dna.check_hamming_constraint(["ACT", "AAT"], 2)
+    assert dna.check_hamming_constraint(["ACG"], 4)
+    assert dna.check_gc_constraint(["ACT", "AGT", "TCA"])
+    assert not dna.check_gc_constraint(["ACT", "AAT"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.just([]), letter_books(), codebooks()))
+def test_gc_constraint_matches_gc_content(book):
+    """The empty book, one-word books and books of every length from 1 to 8."""
+    assert dna.check_gc_constraint(book) == (len({dna.gc_content(w) for w in set(book)}) <= 1)
+
+
+IMAGE_ROWS = {
+    "codon reversal": dna._reversed_letters,
+    "reverse-complement": lambda rows: 3 - dna._reversed_letters(rows),
+    "letter reversal": lambda rows: rows[:, ::-1],
+    "complement": lambda rows: 3 - rows,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(letter_books(), st.sampled_from([None, *IMAGE_ROWS]), st.integers(0, 9))
+def test_row_min_contract(book, image_name, floor):
+    """``_row_min`` against the full m x m table of ordered pairs (image(x),
+    y), skipping zero scores, for distinct letter rows and no image or an
+    involutive, distance-preserving one: None exactly when no pair scores
+    nonzero, a score from the true minimum up to below ``floor`` when the
+    true minimum is below ``floor``, and the true minimum otherwise."""
+    rows = dna._letter_rows(sorted(set(book)))
+    assume(image_name not in ("codon reversal", "reverse-complement")
+           or rows.shape[1] % 2 == 0)
+    image = None if image_name is None else IMAGE_ROWS[image_name](rows)
+    scores = ((rows if image is None else image)[:, None] != rows[None]).sum(axis=2)
+    nonzero = scores[scores > 0]
+    true = int(nonzero.min()) if nonzero.size else None
+    got = dna._row_min(rows, dna._LETTER_TABLE, image, floor)
+    if true is None:
+        assert got is None
+    elif true < floor:
+        assert true <= got < floor
+    else:
+        assert got == true
 
 
 def test_reverse_word_checks_letters_first():

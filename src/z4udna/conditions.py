@@ -244,28 +244,19 @@ def _divisor_lattice(n: int) -> list[Poly]:
 
 
 def _submasks(mask: int) -> list[int]:
-    subs = []
-    s = mask
-    while True:
-        subs.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    return sorted(subs)
+    return [s for s in range(mask + 1) if s & mask == s]
 
 
 def _exhaustive_instances(n: int, max_f14_degree: int):
+    """Every single-generator tuple, then every double-generator one."""
     lattice = _divisor_lattice(n)
     ncoef = min(max_f14_degree, n - 1) + 1
     f14s = [Poly(c) for c in itertools.product(F14_ALPHABET, repeat=ncoef)]
     pairs = [(f1, lattice[m2]) for m1, f1 in enumerate(lattice) for m2 in _submasks(m1)]
-    for f1, f2 in pairs:
-        for f14 in f14s:
-            yield GeneratorSet(n, f1, f2, f14)
-    for f1, f2 in pairs:
-        for f3, f4 in pairs:
-            for f14 in f14s:
-                yield GeneratorSet(n, f1, f2, f14, f3, f4)
+    return itertools.chain(
+        (GeneratorSet(n, *pair, f14) for pair, f14 in itertools.product(pairs, f14s)),
+        (GeneratorSet(n, *pair, f14, *second)
+         for pair, second, f14 in itertools.product(pairs, pairs, f14s)))
 
 
 def _random_instance(n: int, max_f14_degree: int, lattice: list[Poly],
@@ -307,12 +298,14 @@ def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
     """Cross-validate generator tuples drawn from the divisor lattice.
 
     With ``samples=None`` the lattice is walked exhaustively with f14
-    ranging over the representative alphabet; otherwise ``samples``
+    ranging over the representative alphabet; otherwise ``samples`` >= 1
     instances are drawn with the seeded generator, skipping (and
     redrawing past) instances whose enumeration exceeds ``cap``.  Each
     instance is enumerated, then yields one report per property, in a
     fixed order, so the result is deterministic.
     """
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if samples is None:
         codes = ((gens, enumerate_code(gens, cap))
                  for gens in _exhaustive_instances(n, max_f14_degree))

@@ -94,31 +94,24 @@ def validate(gens: GeneratorSet) -> list[str]:
         return problems
     modulus = xn_minus_1(n)
 
-    def check_chain(name_small, small, name_big, big):
-        small_ok = small.is_monic()
-        big_ok = big.is_monic()
-        if not small_ok:
-            problems.append(f"{name_small} must be monic")
-        if not big_ok:
-            problems.append(f"{name_big} must be monic")
-        if big_ok:
-            # Divisibility by the literal x^n - 1 (reducing it first would
-            # make the condition vacuous, since x^n - 1 is 0 in the quotient).
-            _, r = poly_divmod(modulus, big)
-            if not r.is_zero:
-                problems.append(f"{name_big} does not divide x^{n}-1")
-        if small_ok:
-            # literal division too: reduced mod x^n - 1, a big of x^n - 1
-            # is 0, which every polynomial divides
-            _, r = poly_divmod(big, small)
-            if not r.is_zero:
-                problems.append(f"{name_small} does not divide {name_big}")
+    def check_chain(small, big):
+        # Both divisions are literal and made only by a monic divisor.
+        # Reduced mod x^n - 1, a big equal to x^n - 1 would be 0, which
+        # every polynomial divides.
+        low, high = getattr(gens, small), getattr(gens, big)
+        for name, f in ((small, low), (big, high)):
+            if not f.is_monic():
+                problems.append(f"{name} must be monic")
+        if high.is_monic() and not poly_divmod(modulus, high)[1].is_zero:
+            problems.append(f"{big} does not divide x^{n}-1")
+        if low.is_monic() and not poly_divmod(high, low)[1].is_zero:
+            problems.append(f"{small} does not divide {big}")
 
-    check_chain("f2", gens.f2, "f1", gens.f1)
+    check_chain("f2", "f1")
     if (gens.f3 is None) != (gens.f4 is None):
         problems.append("f3 and f4 must be given together")
     elif gens.f3 is not None:
-        check_chain("f4", gens.f4, "f3", gens.f3)
+        check_chain("f4", "f3")
     if not gens.f14.is_zero and gens.f14.degree >= n:
         problems.append("f14 must have degree < n")
     return problems

@@ -6,14 +6,15 @@ codon per symbol.  Reversal of a DNA word here means reversal of the
 not strand reversal of individual letters; complement is letterwise
 Watson-Crick pairing, which coincides with the ring-level complement
 through the codon table.  That table is ``ring.CODON``, indexed by the
-symbol index 4a + b; ``encode`` indexes it and ``decode`` and the row
-readers below read through its inverse ``_CODON_SYMBOL``.
+symbol index 4a + b; ``encode`` indexes it and ``decode`` and the ring
+distances read through its inverse ``_CODON_SYMBOL``.
 
-Codebook distances and constraints take a book of distinct words.  Every
-codebook distance and constraint reads the book once into rows, letter
-indices A, C, G, T = 0-3 for the letterwise distance and the constraints
-and symbol indices 4a + b (the row format of ``cyclic.Code``) for the
-ring Hamming and Lee distances.  One kernel, ``_row_min``, scores the
+A codebook is a collection of words (a list, tuple or set; a bare str is
+not one).  Every codebook distance and constraint reads it through one
+reader, ``_book``, which checks it and returns the letter rows (letter
+indices A, C, G, T = 0-3) of its sorted distinct words; the ring Hamming
+and Lee distances turn those rows into symbol indices 4a + b, the row
+format of ``cyclic.Code``.  One kernel, ``_row_min``, scores the
 image of each word (the word itself, its codon reversal or its
 reverse-complement) against the word and all later words with one lookup
 in a letter or symbol distance table, and stops at the first score below
@@ -27,7 +28,7 @@ letters C and G on the same rows.
 from __future__ import annotations
 
 from operator import ne
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,8 +58,8 @@ def encode(w: Sequence[RingElem]) -> DnaWord:
 
 def decode(d: DnaWord) -> tuple[RingElem, ...]:
     """Inverse of encode; validates alphabet, then even length."""
-    _require_acgt(d)
-    return tuple(ALL_ELEMENTS[k] for k in _symbol_rows([d])[0].tolist())
+    symbols = _CODON_SYMBOL[_codon_pairs(_book([d], codons=True))]
+    return tuple(ALL_ELEMENTS[k] for k in symbols[0].tolist())
 
 
 def letterwise_complement(d: DnaWord) -> DnaWord:
@@ -90,17 +91,6 @@ def hamming(x: DnaWord, y: DnaWord) -> int:
     if len(x) != len(y):
         raise LengthMismatch("words must share one length")
     return sum(map(ne, x, y))
-
-
-def _as_book(codebook: Iterable[DnaWord]) -> list[DnaWord]:
-    words = sorted(set(codebook))
-    if not words:
-        return words
-    if len({len(w) for w in words}) != 1:
-        raise LengthMismatch("words must share one length")
-    for w in words:
-        _require_acgt(w)
-    return words
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +132,21 @@ _CODON_SYMBOL = np.empty(16, np.uint8)
 _CODON_SYMBOL[_codon_pairs(_letter_rows(CODON))[:, 0]] = range(16)
 
 
-def _codon_letters(words: Sequence[DnaWord]) -> np.ndarray:
-    """The letter rows of ACGT words of one even length; the error names
-    the first word."""
-    if words:
+def _book(codebook: Iterable[DnaWord], codons: bool = False) -> np.ndarray:
+    """The letter rows of the sorted distinct words of a book, a collection
+    of words (a bare str is not one).  Raises LengthMismatch, then
+    BadAlphabet naming the first sorted bad word, then, with ``codons``,
+    OddLength naming the first sorted word."""
+    if isinstance(codebook, str):
+        raise TypeError("a codebook is a collection of words, not a str")
+    words = sorted(set(codebook))
+    if len({len(w) for w in words}) > 1:
+        raise LengthMismatch("words must share one length")
+    for w in words:
+        _require_acgt(w)
+    if codons and words:
         _require_codons(words[0])
     return _letter_rows(words)
-
-
-def _symbol_rows(words: Sequence[DnaWord]) -> np.ndarray:
-    """The m x n uint8 rows of symbol indices of m ACGT words of one even
-    length 2n."""
-    return _CODON_SYMBOL[_codon_pairs(_codon_letters(words))]
 
 
 def _reversed_letters(letters: np.ndarray) -> np.ndarray:
@@ -198,7 +191,7 @@ def _min_distance(rows: np.ndarray, table: np.ndarray) -> int:
 
 def min_letterwise_distance(codebook: Iterable[DnaWord]) -> int:
     """Minimum pairwise letterwise Hamming distance over distinct words."""
-    return _min_distance(_letter_rows(_as_book(codebook)), _LETTER_TABLE)
+    return _min_distance(_book(codebook), _LETTER_TABLE)
 
 
 def min_ring_distance(codebook: Iterable[DnaWord], metric: str) -> int:
@@ -206,39 +199,37 @@ def min_ring_distance(codebook: Iterable[DnaWord], metric: str) -> int:
     words, each read as the ring word it encodes (so of even length)."""
     if metric not in _RING_TABLES:
         raise ValueError(f"unknown ring metric {metric!r}")
-    return _min_distance(_symbol_rows(_as_book(codebook)), _RING_TABLES[metric])
+    symbols = _CODON_SYMBOL[_codon_pairs(_book(codebook, codons=True))]
+    return _min_distance(symbols, _RING_TABLES[metric])
 
 
-def _holds(best: int | None, d: int) -> bool:
+def _holds(letters: np.ndarray, d: int, image: np.ndarray | None = None) -> bool:
+    best = _row_min(letters, _LETTER_TABLE, image, d)
     return best is None or best >= d
-
-
-def _image_holds(codebook: Iterable[DnaWord], d: int, image: Callable) -> bool:
-    letters = _codon_letters(_as_book(codebook))
-    return _holds(_row_min(letters, _LETTER_TABLE, image(letters), d), d)
 
 
 def check_hamming_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
     """All distinct pairs at letterwise distance >= d; any word length."""
-    letters = _letter_rows(_as_book(codebook))
-    return _holds(_row_min(letters, _LETTER_TABLE, None, d), d)
+    return _holds(_book(codebook), d)
 
 
 def check_reverse_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
     """H(reverse(x), y) >= d over ordered pairs, skipping the coincidence
     reverse(x) == y (so palindromes do not fail against themselves)."""
-    return _image_holds(codebook, d, _reversed_letters)
+    letters = _book(codebook, codons=True)
+    return _holds(letters, d, _reversed_letters(letters))
 
 
 def check_rc_constraint(codebook: Iterable[DnaWord], d: int) -> bool:
     """Same as the reverse constraint with reverse-complement in place of
     reverse; the complement of letter index x is 3 - x."""
-    return _image_holds(codebook, d, lambda letters: 3 - _reversed_letters(letters))
+    letters = _book(codebook, codons=True)
+    return _holds(letters, d, 3 - _reversed_letters(letters))
 
 
 def check_gc_constraint(codebook: Iterable[DnaWord]) -> bool:
     """All words share one GC count: letters C and G are indices 1 and 2."""
-    letters = _letter_rows(_as_book(codebook))
+    letters = _book(codebook)
     return np.unique(((letters == 1) | (letters == 2)).sum(axis=1)).size <= 1
 
 

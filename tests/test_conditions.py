@@ -181,6 +181,12 @@ def test_sweep_raises_when_cap_starves_sampling():
         sweep(7, samples=5, seed=3, cap=4)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sweep_needs_at_least_one_sample(samples):
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        sweep(3, samples=samples)
+
+
 def test_format_sweep_report():
     reports = sweep(3, samples=4, seed=1, cap=1 << 14)
     text = format_sweep_report(reports)

@@ -94,6 +94,25 @@ def test_validate_divides_the_chain_literally():
     assert validate(GeneratorSet(3, x3, G2_3, Poly(), x3, Poly.parse("3,1"))) == []
 
 
+@pytest.mark.parametrize("fields, problems", [
+    (("1,1,2", "2", "0,0,0,1", "0,1,1", "3,1"),
+     ["f2 must be monic", "f1 must be monic", "f3 does not divide x^3-1",
+      "f4 does not divide f3", "f14 must have degree < n"]),
+    (("0,1", "2,1", "1,0,0,2", "1,1,2", "2,1"),
+     ["f1 does not divide x^3-1", "f2 does not divide f1", "f3 must be monic",
+      "f4 does not divide f3", "f14 must have degree < n"]),
+    (("3,1", "2", "0,1,2,3,1", "1,1,1", None),
+     ["f2 must be monic", "f3 and f4 must be given together",
+      "f14 must have degree < n"]),
+])
+def test_validate_lists_every_problem_in_order(fields, problems):
+    """Both chains in turn, each as: small, then big, not monic; big does
+    not divide x^n - 1; small does not divide big; then the f3/f4 pairing
+    and last f14, every problem once."""
+    f1, f2, f14, f3, f4 = (None if f is None else Poly.parse(f) for f in fields)
+    assert validate(GeneratorSet(3, f1, f2, f14, f3, f4)) == problems
+
+
 def test_generator_polys():
     g_a, g_b = generator_polys(EX_61I)
     assert g_a == Poly.parse("3,3,3")

@@ -286,6 +286,20 @@ def test_constraint_errors_come_in_order(constraint, book, error, message):
         assert message in str(excinfo.value)
 
 
+@pytest.mark.parametrize("score", [
+    dna.min_letterwise_distance,
+    lambda book: dna.min_ring_distance(book, "lee"),
+    lambda book: dna.check_hamming_constraint(book, 1),
+    lambda book: dna.check_reverse_constraint(book, 1),
+    lambda book: dna.check_rc_constraint(book, 1),
+    dna.check_gc_constraint,
+], ids=["letterwise", "ring", "hamming", "reverse", "rc", "gc"])
+def test_a_bare_string_is_not_a_codebook(score):
+    """A str would read as a book of one-letter words."""
+    with pytest.raises(TypeError, match="not a str"):
+        score("ACGT")
+
+
 def test_hamming_and_gc_constraints_take_odd_lengths():
     """Unlike the reverse and RC constraints, which raise OddLength."""
     assert dna.check_hamming_constraint(["ACT", "AAT"], 1)
@@ -358,4 +372,5 @@ def test_ring_tables_match_ring_arithmetic():
         for y in ALL_ELEMENTS:
             assert dna._RING_TABLES["hamming"][x.index, y.index] == int(x != y)
             assert dna._RING_TABLES["lee"][x.index, y.index] == (x - y).lee_weight()
-    assert dna._symbol_rows(CODONS).tolist() == [[x.index] for x in ALL_ELEMENTS]
+    symbols = dna._CODON_SYMBOL[dna._codon_pairs(dna._letter_rows(CODONS))]
+    assert symbols.tolist() == [[x.index] for x in ALL_ELEMENTS]

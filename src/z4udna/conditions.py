@@ -306,6 +306,8 @@ def sweep(n: int, max_f14_degree: int = 2, seed: int = 0,
     """
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if max_f14_degree < 0:
+        raise ValueError(f"max_f14_degree must be >= 0, got {max_f14_degree}")
     if samples is None:
         codes = ((gens, enumerate_code(gens, cap))
                  for gens in _exhaustive_instances(n, max_f14_degree))

@@ -158,15 +158,14 @@ class Code:
         self.source = source
 
     @classmethod
-    def from_words(cls, n: int, words: Iterable[CodeWord],
-                   source: Optional[GeneratorSet] = None) -> "Code":
+    def from_words(cls, n: int, words: Iterable[CodeWord]) -> "Code":
         """Build from explicit words (deduplicated; closure is not verified)."""
         stacked = [word_to_row(w) for w in words]
         if not stacked:
             raise ValueError("a code needs at least one word")
         if any(row.size != n for row in stacked):
             raise LengthMismatch(f"every word of a length-{n} code needs {n} symbols")
-        return cls(n, _dense.canonical(np.stack(stacked)), source)
+        return cls(n, _dense.canonical(np.stack(stacked)))
 
     def __len__(self) -> int:
         return self._keys.size

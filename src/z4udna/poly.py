@@ -170,11 +170,6 @@ class Poly:
         return f"Poly({str(self)!r})"
 
 
-def x_pow(k: int) -> Poly:
-    """x^k for k >= 0."""
-    return _poly(bytes(k) + b"\4")
-
-
 def xn_minus_1(n: int) -> Poly:
     """x^n - 1 for n >= 1; -1 is symbol 12 (3 + 0u)."""
     return _poly(b"\x0c" + bytes(n - 1) + b"\4")

@@ -12,7 +12,7 @@ are stated once, as 16-entry tuples over that index:
   these 16 strings.
 * ``CODON``: the codon map theta onto the 16 nucleotide pairs, chosen so
   that the ring complement ``x -> (1+u) - x`` matches the letterwise
-  Watson-Crick complement (A<->T, C<->G); ``theta_inv`` is its inverse.
+  Watson-Crick complement (A<->T, C<->G).
 * ``GRAY``: the 4-bit image ``(beta(b), gamma(b), beta(a+b), gamma(a+b))``
   of ``a + u*b``, from the 2-adic digits c = alpha + 2*beta and gamma =
   alpha + beta mod 2; it carries the Lee metric to the Hamming metric.
@@ -187,10 +187,3 @@ def solve_unit(x: int, y: int) -> int | None:
     """The symbol index m = y * x^-1 solving m*x = y, or None for a non-unit x."""
     inv = INV[x]
     return MUL[y << 4 | inv] if inv else None
-
-
-def theta_inv(codon: str) -> RingElem:
-    """Inverse of ``RingElem.codon``; raises ValueError on unknown pairs."""
-    if codon not in CODON:
-        raise ValueError(f"not a codon: {codon!r}")
-    return ALL_ELEMENTS[CODON.index(codon)]

@@ -187,6 +187,12 @@ def test_sweep_needs_at_least_one_sample(samples):
         sweep(3, samples=samples)
 
 
+@pytest.mark.parametrize("samples", [None, 4], ids=["exhaustive", "sampled"])
+def test_sweep_needs_a_nonnegative_f14_degree(samples):
+    with pytest.raises(ValueError, match="max_f14_degree must be >= 0, got -1"):
+        sweep(3, max_f14_degree=-1, samples=samples)
+
+
 def test_format_sweep_report():
     reports = sweep(3, samples=4, seed=1, cap=1 << 14)
     text = format_sweep_report(reports)
@@ -237,6 +243,26 @@ def test_conditions_are_sound_on_the_exhaustive_length7_lattice():
     # T31/T41 never predict a property the code lacks; fixing the T32 bug
     # takes both of these counts to 0
     assert wrong == {("T32", "reversible"): 48, ("T42", "rc_closed"): 12}
+
+
+@pytest.mark.parametrize("gens, branch, size", [
+    (GeneratorSet(7, xn_minus_1(7), xn_minus_1(7), Poly(), xn_minus_1(7), G2),
+     "vacuous", 16),
+    # the first false positive pinned outside n = 7, and with a non-constant f14
+    (GeneratorSet(15, xn_minus_1(15), Poly.parse("1,0,0,1,0,0,1,0,0,1,0,0,1"),
+                  Poly.parse("0,2+2u"), Poly.parse("1,3,0,1,3,1,0,3,1"),
+                  Poly.parse("1,0,2,3,1")),
+     "div-f14", 1 << 21),
+], ids=["n7", "n15"])
+def test_t32_accepts_these_codes_that_are_not_reversible(gens, branch, size):
+    # The two reproductions of the known T32 defect (ROADMAP, "Bug: T32 and
+    # T42 accept codes that are not reversible"), pinned at today's verdicts.
+    # Adding "(a) f4 is self-reciprocal" to T32 flips its verdict on both.
+    report = check_reversible_double(gens)
+    assert report.satisfied and report.branch == branch
+    assert self_reciprocal_constant(gens.f4) is None
+    code = enumerate_code(gens, cap=1 << 22)
+    assert len(code) == size and not code.is_reversible()
 
 
 @pytest.mark.parametrize("n, max_f14_degree, cap, expected", [

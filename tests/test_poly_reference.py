@@ -23,7 +23,6 @@ from z4udna.poly import (
     poly_mod_xn,
     reciprocal,
     self_reciprocal_constant,
-    x_pow,
     xn_minus_1,
 )
 from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS, solve_unit
@@ -211,11 +210,6 @@ def test_solve_unit_inverts_every_unit():
                 assert m is None
 
 
-@given(st.integers(0, 64))
-def test_x_pow_literal(k):
-    assert x_pow(k) == Poly([0] * k + [1])
-
-
 @given(st.integers(1, 64))
 def test_xn_minus_1_literal(n):
     assert xn_minus_1(n) == Poly([-1] + [0] * (n - 1) + [1])
@@ -234,8 +228,6 @@ def test_shift_rejects_negative_exponent():
         Poly([1, 2]).shift(-1)
     with pytest.raises(ValueError):
         Poly().shift(-1)
-    with pytest.raises(ValueError):
-        x_pow(-1)
     with pytest.raises(ValueError):
         xn_minus_1(0)
 

@@ -5,7 +5,9 @@ import ast
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
+import z4udna
 from z4udna.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,6 +35,19 @@ def test_quickstart_values_match_their_comments():
         else:
             exec(compile(ast.Module([node], []), "README", "exec"), namespace)
     assert comments == ["16", "3", "True", "True", "3"]
+
+
+def test_package_root_holds_exactly_the_quickstart_names():
+    """Every other public name is imported from its module, so the root's
+    public names that are not modules are those the quickstart imports."""
+    line = re.search(r"^from z4udna import (.*)$", quickstart_source(), re.M).group(1)
+    names = {name.strip() for name in line.split(",")}
+
+    def non_modules(attrs):
+        return {a for a in attrs
+                if not a.startswith("_") and not isinstance(getattr(z4udna, a), ModuleType)}
+
+    assert non_modules(vars(z4udna)) == non_modules(names)
 
 
 def test_command_line_block_parses():

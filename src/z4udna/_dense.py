@@ -86,11 +86,6 @@ def has_key(keys: np.ndarray, key) -> bool:
     return bool(i < keys.size and keys[i] == key)
 
 
-def canonical(rows: np.ndarray) -> np.ndarray:
-    """The sorted keys of the distinct rows."""
-    return np.unique(pack(rows))
-
-
 def same_set(keys: np.ndarray, image_keys: np.ndarray) -> bool:
     """Whether ``image_keys`` pack exactly the words of sorted ``keys``.
 

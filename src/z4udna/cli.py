@@ -22,7 +22,7 @@ from .cyclic import (
     render_code_export,
 )
 from .errors import CapExceeded, InvalidGenerators, UnsupportedLength, Z4uError
-from .poly import Poly, factor_xn_minus_1_f2, factor_xn_minus_1_z4
+from .poly import LENGTH_CAP, Poly, factor_xn_minus_1_f2, factor_xn_minus_1_z4
 
 # Caught after CapExceeded, the one Z4uError that exits 3 instead.
 _USAGE_ERRORS = (Z4uError, ValueError, OSError)
@@ -123,7 +123,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    if args.samples is None and args.n > 3:
+    # other lengths reach sweep, which names the supported ones
+    if args.samples is None and 3 < args.n <= LENGTH_CAP and args.n % 2:
         raise UnsupportedLength(
             f"exhaustive sweep is limited to n <= 3; pass --samples for n={args.n}")
     if args.samples is not None and args.samples < 1:

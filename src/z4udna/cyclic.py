@@ -6,6 +6,9 @@ is present, ``u*f3 + 2u*f4``, both reduced mod x^n - 1.  Enumeration is
 exact span closure over all cyclic shifts of the generators, capped so a
 runaway instance fails loudly instead of thrashing.  The cap is decided
 before each merge, so no set larger than the cap is ever built.
+
+``enumerate_code`` alone builds a ``Code``, so every code is an ideal of
+R[x]/(x^n - 1), and its minimum distance is its minimum nonzero weight.
 """
 
 from __future__ import annotations
@@ -139,33 +142,24 @@ def generator_polys(gens: GeneratorSet) -> tuple[Poly, Optional[Poly]]:
 # ---------------------------------------------------------------------------
 
 class Code:
-    """An explicitly enumerated code, stored as one sorted key array.
+    """An ideal that ``enumerate_code`` built, as one sorted key array.
 
-    A word is a row of n symbol indices 4a + b (the indices of
-    ``Poly.symbols``), and the code keeps one packed key per word
-    (``_dense.pack``).  Key order is the lexicographic order of the rows,
-    which is the order by the (a, b) pairs of the symbols, so words and
-    exports, unpacked from the keys, are deterministic and diffable.
-    Membership is a binary search in the keys.  All predicates below are
-    exhaustive checks over the stored set, not algebraic shortcuts: each
-    maps the keys and compares the sorted image with them, so rows are
-    unpacked only for words, exports and distances.
+    ``generators`` holds its reduced ideal generators g_a[, g_b].  A word
+    is a row of n symbol indices 4a + b (the indices of ``Poly.symbols``),
+    and the code keeps one packed key per word (``_dense.pack``).  Key
+    order is the lexicographic order of the rows, which is the order by
+    the (a, b) pairs of the symbols, so words and exports, unpacked from
+    the keys, are deterministic and diffable.  Membership is a binary
+    search in the keys.  The closure predicates check the stored set
+    exhaustively (``is_dna_code`` takes shift closure from the ideal):
+    each maps the keys and compares the sorted image with them, so rows
+    are unpacked only for words, exports and distances.
     """
 
-    def __init__(self, n: int, keys: np.ndarray, source: Optional[GeneratorSet] = None):
+    def __init__(self, n: int, keys: np.ndarray, generators: tuple[Poly, ...]):
         self.n = n
         self._keys = keys
-        self.source = source
-
-    @classmethod
-    def from_words(cls, n: int, words: Iterable[CodeWord]) -> "Code":
-        """Build from explicit words (deduplicated; closure is not verified)."""
-        stacked = [word_to_row(w) for w in words]
-        if not stacked:
-            raise ValueError("a code needs at least one word")
-        if any(row.size != n for row in stacked):
-            raise LengthMismatch(f"every word of a length-{n} code needs {n} symbols")
-        return cls(n, _dense.canonical(np.stack(stacked)))
+        self.generators = generators
 
     def __len__(self) -> int:
         return self._keys.size
@@ -197,12 +191,12 @@ class Code:
         return _dense.same_set(self._keys, _dense.rc_keys(self._keys, self.n))
 
     def is_dna_code(self) -> bool:
-        """Shift-closed, closed under reverse-complement, with no word
-        equal to its own reverse-complement."""
+        """Closed under reverse-complement, with no word equal to its own
+        reverse-complement; an ideal is shift-closed already."""
         rc = _dense.rc_keys(self._keys, self.n)
         if (rc == self._keys).any():
             return False
-        return self.is_shift_closed() and _dense.same_set(self._keys, rc)
+        return _dense.same_set(self._keys, rc)
 
     # -- distances ------------------------------------------------------------
 
@@ -212,8 +206,8 @@ class Code:
         return _dense.unpack(self._keys[self._keys != 0], self.n)
 
     def min_hamming_distance(self) -> int:
-        """Minimum symbolwise Hamming distance; equals the minimum nonzero
-        weight because the code is an additive group."""
+        """Minimum symbolwise Hamming distance: the minimum nonzero weight,
+        since x - y is a word of the ideal for any two words x, y."""
         return int((self._nonzero_rows() != 0).sum(axis=1).min())
 
     def min_lee_distance(self) -> int:
@@ -248,14 +242,15 @@ def enumerate_code(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> Code:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    g_a, g_b = generator_polys(gens)
+    generators = tuple(g for g in generator_polys(gens) if g is not None)
     n = gens.n
     shifts = (np.arange(n) - np.arange(n)[:, None]) % n  # row i: x^i * g, g rolled by i
     vectors = [np.frombuffer(g.symbols.ljust(n, b"\0"), dtype=np.uint8)[shifts]
-               for g in (g_a, g_b) if g is not None]
-    code = Code(n, _dense.span_closure(np.concatenate(vectors), cap), gens)
-    # spanning all n shifts of each generator makes the result an ideal;
-    # fail loudly if that ever stops being true
+               for g in generators]
+    code = Code(n, _dense.span_closure(np.concatenate(vectors), cap), generators)
+    # spanning all n shifts of each generator makes the result an ideal,
+    # which the distances and is_dna_code rely on; fail loudly if that
+    # ever stops being true
     if not code.is_shift_closed():
         raise RuntimeError("span closure returned a set that is not shift-closed")
     return code
@@ -287,11 +282,7 @@ def render_code_export(code: Code, fmt: str = "ring") -> str:
     """Code export file: n=, size=, generators= headers, one word per line."""
     if fmt not in EXPORT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    if code.source is not None:
-        g_a, g_b = generator_polys(code.source)
-        gen_text = str(g_a) + (f";{g_b}" if g_b is not None else "")
-    else:
-        gen_text = "-"
-    lines = [f"n={code.n}", f"size={len(code)}", f"generators={gen_text}"]
+    lines = [f"n={code.n}", f"size={len(code)}",
+             "generators=" + ";".join(map(str, code.generators))]
     lines.extend(code._render(fmt))
     return "\n".join(lines) + "\n"

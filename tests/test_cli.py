@@ -234,6 +234,18 @@ def test_crossval_exhaustive_needs_small_n(capsys):
         assert (code, out) == (2, "") and "--samples" in err, n
 
 
+def test_crossval_names_the_length_it_cannot_sweep(capsys):
+    # an even or too long n fails the same way with or without --samples,
+    # so it is not told to pass --samples
+    for n in ("4", "65"):
+        for extra in ((), ("--samples", "2")):
+            code, out, err = run(capsys, "crossval", "--n", n, *extra)
+            assert (code, out) == (2, "") and "n must be odd with 1 <= n <= 63" in err, n
+            assert "--samples" not in err
+    code, _, err = run(capsys, "crossval", "--n", "5")
+    assert code == 2 and "--samples" in err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_crossval_rejects_fewer_than_one_sample(capsys, samples):
     code, out, err = run(capsys, "crossval", "--n", "7", "--samples", samples)

@@ -1,17 +1,17 @@
 """Generator validation, enumeration, closure properties and exports."""
 
+import itertools
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from test_acceptance import _oracle_words
-from z4udna import _dense
+from z4udna import _dense, dna
 from z4udna.conditions import _divisor_lattice, _random_instance
 from z4udna.cyclic import (
-    Code,
     GeneratorSet,
     complement_word,
     cyclic_shift,
@@ -28,12 +28,13 @@ from z4udna.cyclic import (
 )
 from z4udna.errors import CapExceeded, InvalidGenerators, LengthMismatch, TrivialCode
 from z4udna.poly import Poly, divides, factor_xn_minus_1_z4, poly_divmod, xn_minus_1
-from z4udna.ring import ADD, ALL_ELEMENTS, COMPLEMENT, RingElem
+from z4udna.ring import ADD, ALL_ELEMENTS, COMPLEMENT, GRAY, RingElem
 
 R = RingElem
 G2_3 = Poly.parse("1,1,1")
 EX_61I = GeneratorSet(3, G2_3, G2_3)
 EX_61II = GeneratorSet(3, G2_3, G2_3, Poly(), Poly.parse("3,1"), Poly.parse("1"))
+ZERO_3 = GeneratorSet(3, xn_minus_1(3), xn_minus_1(3))
 G27 = Poly.parse("3,1,2,1") * Poly.parse("3,2,3,1")
 EX_62 = GeneratorSet(7, G27, G27)
 
@@ -130,12 +131,11 @@ def test_enumerate_constant_code():
     assert len(code) == 16
     expected = {tuple([c] * 3) for c in ALL_ELEMENTS}
     assert set(code.words()) == expected
-    assert code.source is EX_61I
+    assert code.generators == (Poly.parse("3,3,3"),)
 
 
 def test_enumerate_zero_code():
-    gens = GeneratorSet(3, xn_minus_1(3), xn_minus_1(3))
-    code = enumerate_code(gens)
+    code = enumerate_code(ZERO_3)
     assert set(code.words()) == {words_of([0, 0, 0])}
 
 
@@ -216,8 +216,8 @@ def test_cap_bounds_memory_of_wide_rows():
 
 def test_enumerate_rejects_a_set_that_is_not_shift_closed(monkeypatch):
     def not_closed(vectors, cap):
-        return _dense.canonical(np.stack([word_to_row(words_of([0, 0, 0])),
-                                          word_to_row(words_of([1, 0, 0]))]))
+        return np.unique(_dense.pack(np.stack([word_to_row(words_of([0, 0, 0])),
+                                                word_to_row(words_of([1, 0, 0]))])))
 
     monkeypatch.setattr(_dense, "span_closure", not_closed)
     with pytest.raises(RuntimeError, match="not shift-closed"):
@@ -266,12 +266,14 @@ def test_min_distances():
     code = enumerate_code(EX_61I)
     assert code.min_hamming_distance() == 3
     assert code.min_lee_distance() == 3  # the all-ones constant word has Lee weight 3
-    synthetic = Code.from_words(3, [words_of([0, 0, 0]), words_of([2, 2, 2])])
-    assert synthetic.min_lee_distance() == 6
-    assert synthetic.min_hamming_distance() == 3
-    trivial = Code.from_words(3, [words_of([0, 0, 0])])
+    # 2*(1 + x + x^2) spans {0, 2θ, 2uθ, (2+2u)θ}, θ the all-ones word
+    twos = enumerate_code(GeneratorSet(3, xn_minus_1(3), Poly.parse("1,1,1")))
+    assert len(twos) == 4
+    assert twos.min_lee_distance() == 6
+    assert twos.min_hamming_distance() == 3
+    zero = enumerate_code(ZERO_3)
     with pytest.raises(TrivialCode):
-        trivial.min_hamming_distance()
+        zero.min_hamming_distance()
 
 
 def test_closure_predicates():
@@ -280,32 +282,24 @@ def test_closure_predicates():
     assert code.is_reversible()
     assert code.is_complement_closed()
     assert code.is_dna_code()
-    zero = Code.from_words(3, [words_of([0, 0, 0])])
+    zero = enumerate_code(ZERO_3)
     # reversal fixes the zero word, but its complement is the all-(1+u) word
     assert zero.is_reversible()
     assert not zero.is_complement_closed()
     assert not zero.is_rc_closed()
     assert not zero.is_dna_code()
-    synthetic = Code.from_words(
-        3, [words_of([0, 0, 0]), words_of([1, 0, 0]),
-            words_of([0, 0, 1]), words_of([1, 0, 1])])
-    assert synthetic.is_reversible()
-
-
-def test_dna_code_requires_shift_closure():
-    # rc-closed but not shift-closed
-    w = words_of([(0, 0), (2, 0), (0, 0)])
-    code = Code.from_words(3, [w, reverse_complement(w)])
-    assert not code.is_shift_closed()
-    assert not code.is_dna_code()
+    # 2*(x^3 + x + 1) spans 2 times the binary Hamming code of x^3 + x + 1,
+    # whose reversal is the code of x^3 + x^2 + 1
+    twos = enumerate_code(GeneratorSet(7, xn_minus_1(7), Poly.parse("3,1,2,1")))
+    assert not twos.is_reversible()
 
 
 def test_gray_image():
-    zero = Code.from_words(3, [words_of([0, 0, 0])])
+    zero = enumerate_code(ZERO_3)
     assert zero.gray_words() == ["0" * 12]
-    tt = Code.from_words(3, [words_of([(1, 1)] * 3)])
-    assert tt.gray_words() == ["011101110111"]
     code = enumerate_code(EX_61I)
+    assert code.gray_words() == ["".join(GRAY[c.index] for c in w) for w in code.words()]
+    assert "011101110111" in code.gray_words()  # (1+u, 1+u, 1+u)
     assert len(set(code.gray_words())) == len(code)
 
 
@@ -388,13 +382,6 @@ def test_membership_and_word_round_trip():
     assert row_to_word(row) == words_of([(2, 3), (0, 1), (3, 0)])
 
 
-def test_from_words_rejects_words_of_another_length():
-    with pytest.raises(LengthMismatch):
-        Code.from_words(3, [words_of([0, 0, 0, 0]), words_of([1, 0, 0, 0])])
-    with pytest.raises(LengthMismatch):
-        Code.from_words(3, [words_of([0, 0, 0]), words_of([1, 0])])
-
-
 # ---------------------------------------------------------------------------
 # Symbol-row kernels against RingElem reference code
 # ---------------------------------------------------------------------------
@@ -456,7 +443,7 @@ def rc_rows(rows):
 @given(word_lists())
 def test_canonical_sorts_by_symbol_pairs(case):
     n, words = case
-    assert _key_words(_dense.canonical(_rows(words)), n) == _sorted_set(words)
+    assert _key_words(np.unique(_dense.pack(_rows(words))), n) == _sorted_set(words)
 
 
 @settings(max_examples=80, deadline=None)
@@ -525,21 +512,9 @@ def test_translates_are_symbolwise_sums(case, data):
     expected = _sorted_set(tuple(x + y for x, y in zip(w, d))
                            for w in words for d in deltas)
     _, low, high = _dense._key_type(n)
-    keys = _dense.canonical(_rows(words))
+    keys = np.unique(_dense.pack(_rows(words)))
     translates = [_dense._add_keys(keys, d, low, high) for d in _dense.pack(_rows(deltas))]
     assert _key_words(np.unique(np.concatenate(translates)), n) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(word_lists())
-def test_min_distances_are_min_nonzero_weights(case):
-    n, words = case
-    words = [(RingElem(0),) * n] + words
-    nonzero = [w for w in set(words) if any(w)]
-    assume(nonzero)
-    code = Code.from_words(n, words)
-    assert code.min_hamming_distance() == min(sum(1 for c in w if c) for w in nonzero)
-    assert code.min_lee_distance() == min(sum(c.lee_weight() for c in w) for w in nonzero)
 
 
 def _multiples(g, n, limit):
@@ -592,6 +567,28 @@ def _small_instance(n, limit, rng):
         words = _ideal_words(gens, limit)
         if words is not None:
             return gens, words
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_min_distances_match_pairwise_reference(n):
+    # The weight path of Code and the pair scan of dna, against the minimum
+    # over distinct pairs of oracle words of the weights of x - y.
+    rng = random.Random(n)
+    for _ in range(7):
+        gens, words = _small_instance(n, 64, rng)
+        code = enumerate_code(gens)
+        assert len(code) == len(words)
+        diffs = [[x - y for x, y in zip(a, b)] for a, b in itertools.combinations(words, 2)]
+        if not diffs:
+            with pytest.raises(TrivialCode):
+                code.min_hamming_distance()
+            continue
+        expected = {"hamming": min(sum(1 for c in d if c) for d in diffs),
+                    "lee": min(sum(c.lee_weight() for c in d) for d in diffs)}
+        assert code.min_hamming_distance() == expected["hamming"]
+        assert code.min_lee_distance() == expected["lee"]
+        for metric, value in expected.items():
+            assert dna.min_ring_distance(code.dna_words(), metric) == value
 
 
 def test_ideal_oracle_matches_acceptance_oracle():
@@ -653,10 +650,10 @@ def test_same_set_agrees_with_canonical_comparison(case, key_map):
     rows, _ = case
     width = rows.shape[1]
     # the union of all images is closed under the map, so both answers occur
-    closed = _dense.canonical(rows)
+    closed = np.unique(_dense.pack(rows))
     for _ in range(width):
         closed = np.union1d(closed, key_map(closed, width))
-    for keys in (_dense.canonical(rows), closed):
+    for keys in (np.unique(_dense.pack(rows)), closed):
         image = key_map(keys, width)
         assert _dense.same_set(keys, image) == np.array_equal(keys, np.unique(image))
         as_rows = set(map(bytes, _dense.unpack(keys, width)))

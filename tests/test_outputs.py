@@ -43,6 +43,14 @@ CODES = {
         "gray": "d7deb943f3c16d11fe6f958193da91248f8e9104ba7d04a582f107128d23d145",
         "codebook": "9f776cfd1502181e1f76031d680ad442d1d54714084b23cb8e5b288ef7852c60",
     }),
+    # two ideal generators, so the export header lists both: 3,3,3;u,u
+    "n3-double": (GeneratorSet(3, Poly.parse("1,1,1"), Poly.parse("1,1,1"), Poly(),
+                               Poly.parse("3,1"), Poly.parse("1")), 256, {
+        "ring": "ba53c8a1a443a41778f4c6edd1195ef2ce3876f8158dafdcdfded20b694f7723",
+        "dna": "817a2c747922388960c6280c1cc3c12fceb148f82a10646f374163b66b01418b",
+        "gray": "9f5e7a2651b8047ae36e219b40c720a460705cb72321c0e9e70993937e2a8108",
+        "codebook": "b315b7e56c01dd07bf7d501ad4a72eb39820eeb106148b8e08ffa6c5a51bf0b8",
+    }),
     "n7": (GeneratorSet(7, Poly.parse("3,0,0,0,0,0,0,1"), Poly.parse("3,1,2,1")), 256, {
         "ring": "aba9c6959fbda28f4163faada6d5b8ca9c803f252bd68cb661e310f091f8efd5",
         "dna": "a51d00bfb51ed4bf0422264587ee1b4a4a16be3ef6ea648e07b8bc6b5df8c7a4",

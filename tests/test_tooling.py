@@ -27,6 +27,26 @@ def test_package_source_has_no_assert_statements():
     assert found == []
 
 
+def _calls_of(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def test_only_enumerate_code_builds_a_code():
+    # Every Code is an ideal, so its minimum nonzero weight is its minimum
+    # distance: the package calls Code once, in enumerate_code, and no
+    # classmethod of Code calls cls.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "z4udna").glob("*.py"))}
+    (code_class,) = [node for node in ast.walk(trees["cyclic.py"])
+                     if isinstance(node, ast.ClassDef) and node.name == "Code"]
+    (builder,) = [node for node in ast.walk(trees["cyclic.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "enumerate_code"]
+    calls = [call for tree in trees.values() for call in _calls_of(tree, "Code")]
+    calls += _calls_of(code_class, "cls")
+    assert len(calls) == 1 and calls[0] in list(ast.walk(builder))
+
+
 def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     # Under the repository's pytest config a failing hypothesis test must
     # fail on its own (exit 1), not abort the session with INTERNALERROR.

@@ -14,15 +14,22 @@ not one).  Every codebook distance and constraint reads it through one
 reader, ``_book``, which checks it and returns the letter rows (letter
 indices A, C, G, T = 0-3) of its sorted distinct words; the ring Hamming
 and Lee distances turn those rows into symbol indices 4a + b, the row
-format of ``cyclic.Code``.  One kernel, ``_row_min``, scores the
-image of each word (the word itself, its codon reversal or its
-reverse-complement) against the word and all later words with one lookup
-in a letter or symbol distance table, and stops at the first score below
-the constraint's bound.  On the 1024 words of an n = 7 code, on a shared
-2-vCPU machine, the letterwise distance and a Hamming, reverse or RC
-constraint that holds each take 80 to 90 ms (the Hamming constraint took
-about 0.56 s as a scan over strings).  The GC constraint counts the
-letters C and G on the same rows.
+format of ``cyclic.Code``.  Two routes score pairs of rows by summing
+entries of a 4x4 letter or 16x16 symbol distance table along the row:
+
+* the distances (``min_letterwise_distance``, ``min_ring_distance``) go
+  through ``_min_distance``, one float32 matrix product per block of rows
+  against itself and all later rows, each block capped at 2^20 scores;
+* the Hamming, reverse and RC constraints go through ``_row_min``, which
+  scores the image of each word (the word itself, its codon reversal or
+  its reverse-complement) against the word and all later words with one
+  table lookup, and stops at the first score below the constraint's bound.
+
+On the n = 7 codes of 256, 1024 and 4096 words, on a shared 2-vCPU
+machine, the three distances take 0.3-0.6, 3-6 and 28-47 ms (4-7, 44-71
+and 640-1190 ms on the rows one at a time), and a Hamming, reverse or RC
+constraint that holds takes 5-8, 66-87 and 980-1170 ms.  The GC
+constraint counts the letters C and G on the same rows.
 """
 
 from __future__ import annotations
@@ -83,19 +90,24 @@ def reverse_complement_word(d: DnaWord) -> DnaWord:
 
 
 def gc_content(d: DnaWord) -> int:
-    """Number of G or C letters."""
+    """Number of G or C letters; validates alphabet."""
+    _require_acgt(d)
     return sum(1 for ch in d if ch in "GC")
 
 
 def hamming(x: DnaWord, y: DnaWord) -> int:
+    """Number of positions where two words differ; validates the alphabet
+    of both, then their lengths."""
+    _require_acgt(x)
+    _require_acgt(y)
     if len(x) != len(y):
         raise LengthMismatch("words must share one length")
     return sum(map(ne, x, y))
 
 
 # ---------------------------------------------------------------------------
-# Codebook distances and constraints on rows: one table lookup per word
-# against itself and all later words.
+# Codebook distances and constraints on rows: the distances score blocks of
+# rows with one matrix product each, the constraints one word at a time.
 # ---------------------------------------------------------------------------
 
 # Distance tables indexed [x, y] by two letter indices or two ring symbol
@@ -161,13 +173,15 @@ def _row_min(rows: np.ndarray, table: np.ndarray, image: np.ndarray | None = Non
     the rows of a book of distinct words, scoring a pair by the ``table``
     entries of its letters or symbols summed along the row; None when no
     score is nonzero.  Returns a score below ``floor`` as soon as one is
-    found.
+    found.  It serves the Hamming, reverse and RC constraints, whose first
+    row below the bound ends the scan; the distances, which need every
+    pair, go through ``_min_distance``.
 
     ``image`` defaults to ``rows``, giving the least distance over pairs of
-    distinct words.  Otherwise it holds the codon reversal or the
-    reverse-complement of each row, an involution that preserves distance,
-    so (x, y) scores what (y, x) scores and j >= i covers every ordered
-    pair; a score is zero exactly when image(x) == y.
+    distinct words, as the Hamming constraint needs.  Otherwise it holds the
+    codon reversal or the reverse-complement of each row, an involution that
+    preserves distance, so (x, y) scores what (y, x) scores and j >= i
+    covers every ordered pair; a score is zero exactly when image(x) == y.
     """
     if image is None:
         image = rows
@@ -182,11 +196,38 @@ def _row_min(rows: np.ndarray, table: np.ndarray, image: np.ndarray | None = Non
     return min(lows, default=None)
 
 
+# Most score entries one block of the distance product holds (4 MB of
+# float32), so a 4096-word book is scored 256 rows at a time and never holds
+# its 64 MB matrix.
+_BLOCK_ENTRIES = 1 << 20
+
+
 def _min_distance(rows: np.ndarray, table: np.ndarray) -> int:
-    best = _row_min(rows, table)
-    if best is None:
+    """Least nonzero score over pairs of the rows of a book of distinct
+    words, scoring a pair by the ``table`` entries of its letters or
+    symbols summed along the row; raises TrivialCode when no score is
+    nonzero.
+
+    The score of (x, y) is the product of two rows of width L*k for a k x k
+    table: x's table rows gathered by its letters or symbols, and the
+    one-hot encoding of y.  Each block of rows is scored against itself and
+    the rows after it, one float32 product per block.  Every score is an
+    integer of at most the largest table entry times L, 4 * 63 = 252 for
+    the ring words of n = 63, and float32 holds every integer up to 2^24,
+    so any summation order gives it exactly.
+    """
+    m, width = rows.shape
+    k = len(table)
+    weights = table.astype(np.float32)[rows].reshape(m, width * k)
+    onehot = np.eye(k, dtype=np.float32)[rows].reshape(m, width * k)
+    step = max(1, _BLOCK_ENTRIES // max(m, 1))
+    best = np.inf
+    for start in range(0, m, step):
+        scores = weights[start:start + step] @ onehot[start:].T
+        best = min(best, scores.min(where=scores > 0, initial=np.inf))
+    if best == np.inf:
         raise TrivialCode("need at least two words")
-    return best
+    return int(best)
 
 
 def min_letterwise_distance(codebook: Iterable[DnaWord]) -> int:

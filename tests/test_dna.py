@@ -83,6 +83,17 @@ def test_gc_content():
     assert dna.gc_content("GCGC") == 4
     assert dna.gc_content("AATT") == 0
     assert dna.gc_content("CCCCAA") == 4
+    with pytest.raises(BadAlphabet, match="'AXG'"):
+        dna.gc_content("AXG")
+
+
+def test_hamming_checks_letters_before_lengths():
+    assert dna.hamming("ACGT", "AAGT") == 1
+    for x, y in (("AXGT", "AAGT"), ("AAGT", "AXGT"), ("AXG", "AAGT")):
+        with pytest.raises(BadAlphabet, match="'AXG"):
+            dna.hamming(x, y)
+    with pytest.raises(LengthMismatch):
+        dna.hamming("ACG", "ACGT")
 
 
 def test_hamming_constraint():

@@ -8,8 +8,11 @@ subtraction.
 
 import contextlib
 import io
+import random
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from z4udna.cli import main
 from z4udna.cyclic import GeneratorSet, enumerate_code
 from z4udna.errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode
 from z4udna.poly import Poly
-from z4udna.ring import ALL_ELEMENTS
+from z4udna.ring import ALL_ELEMENTS, RingElem
 
 CODONS = tuple(x.codon() for x in ALL_ELEMENTS)
 IMAGES = {"hamming": lambda w: w, "reverse": dna.reverse_word,
@@ -188,6 +191,108 @@ def test_distances_of_a_1024_word_code():
     assert dna.min_letterwise_distance(book) == 3
     assert dna.min_ring_distance(book, "hamming") == code.min_hamming_distance() == 3
     assert dna.min_ring_distance(book, "lee") == code.min_lee_distance() == 6
+
+
+DISTANCES = {
+    "dna": dna.min_letterwise_distance,
+    "hamming": lambda book: dna.min_ring_distance(book, "hamming"),
+    "lee": lambda book: dna.min_ring_distance(book, "lee"),
+}
+PAIR_DISTANCES = {"dna": dna.hamming, "hamming": ring_distance("hamming"),
+                  "lee": ring_distance("lee")}
+
+
+def distance_rows(book, metric):
+    """The rows and table that ``metric``'s distance scores: letter rows, or
+    the symbol rows of the ring words a book encodes."""
+    letters = dna._book(book, codons=metric != "dna")
+    if metric == "dna":
+        return letters, dna._LETTER_TABLE
+    return dna._CODON_SYMBOL[dna._codon_pairs(letters)], dna._RING_TABLES[metric]
+
+
+@pytest.fixture(scope="module")
+def book_4096():
+    """The 4096-word n=7 code of f1 = x^7 - 1, f2 = x - 1, past one block
+    of the distance product."""
+    code = enumerate_code(GeneratorSet(7, Poly.parse("3,0,0,0,0,0,0,1"), Poly.parse("3,1")))
+    book = code.dna_words()
+    assert len(book) == 4096 and len(book) ** 2 > dna._BLOCK_ENTRIES
+    return code, book
+
+
+@settings(max_examples=100, deadline=None)
+@given(codebooks(), st.data())
+def test_distance_product_across_blocks_matches_row_min_and_pairs(book, data):
+    """With the block cap shrunk so that each book spans two or more
+    blocks, down to one row per block: the product route, ``_row_min`` and
+    the minimum over pairs agree for every metric."""
+    m = len(set(book))
+    assume(m >= 2)
+    entries = data.draw(st.integers(1, m * m - 1), label="block entries")
+    with mock.patch.object(dna, "_BLOCK_ENTRIES", entries):
+        for metric, distance in DISTANCES.items():
+            rows, table = distance_rows(book, metric)
+            expected = brute_min(book, PAIR_DISTANCES[metric])
+            assert dna._row_min(rows, table) == expected, metric
+            assert dna._min_distance(rows, table) == expected, metric
+            assert distance(book) == expected, metric
+
+
+def test_distance_product_of_a_4096_word_code(book_4096):
+    """At the real block cap: the product route against ``_row_min`` and,
+    for the ring metrics, the least nonzero weight of the code (an additive
+    group, so x - y is a word of it)."""
+    code, book = book_4096
+    weights = {"dna": 2, "hamming": code.min_hamming_distance(),
+               "lee": code.min_lee_distance()}
+    assert weights == {"dna": 2, "hamming": 2, "lee": 4}
+    for metric, distance in DISTANCES.items():
+        rows, table = distance_rows(book, metric)
+        assert distance(book) == dna._row_min(rows, table) == weights[metric], metric
+
+
+def test_distance_product_allocates_far_below_one_unblocked_matrix(book_4096):
+    """The unblocked 4096 x 4096 float32 score matrix would take 64 MB; each
+    distance of the 4096-word book peaks under 16 MB of traced allocation."""
+    _, book = book_4096
+    for metric, distance in DISTANCES.items():
+        tracemalloc.start()
+        try:
+            distance(book)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, (metric, peak)
+
+
+def n63_word(symbol):
+    return dna.encode((symbol,) * 63)
+
+
+LEE_4 = RingElem(0, 2)
+
+
+@pytest.mark.parametrize("metric, book, expected", [
+    ("dna", ["A" * 126, "T" * 126], 126),
+    ("hamming", [n63_word(ALL_ELEMENTS[0]), n63_word(ALL_ELEMENTS[5])], 63),
+    ("lee", [n63_word(ALL_ELEMENTS[0]), n63_word(LEE_4)], 252),
+], ids=["dna", "hamming", "lee"])
+def test_distance_product_of_the_widest_words(metric, book, expected):
+    """n = 63 words (126 letters, 63 symbols) differing in every letter or
+    symbol, the Lee pair at weight 4 in each symbol, so its score is the
+    largest any pair of the paper's words can have; then the same words
+    among random ones, one row per block, against ``_row_min`` and pairs."""
+    assert LEE_4.lee_weight() == 4
+    rows, table = distance_rows(book, metric)
+    assert DISTANCES[metric](book) == dna._row_min(rows, table) == expected
+    rng = random.Random(63)
+    book = book + [n63_word(rng.choice(ALL_ELEMENTS)) for _ in range(4)]
+    book += ["".join(rng.choice(CODONS) for _ in range(63)) for _ in range(4)]
+    rows, table = distance_rows(book, metric)
+    expected = brute_min(book, PAIR_DISTANCES[metric])
+    with mock.patch.object(dna, "_BLOCK_ENTRIES", 1):
+        assert DISTANCES[metric](book) == dna._row_min(rows, table) == expected
 
 
 def full_image_min(words, image):

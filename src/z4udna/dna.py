@@ -14,22 +14,22 @@ not one).  Every codebook distance and constraint reads it through one
 reader, ``_book``, which checks it and returns the letter rows (letter
 indices A, C, G, T = 0-3) of its sorted distinct words; the ring Hamming
 and Lee distances turn those rows into symbol indices 4a + b, the row
-format of ``cyclic.Code``.  Two routes score pairs of rows by summing
-entries of a 4x4 letter or 16x16 symbol distance table along the row:
-
-* the distances (``min_letterwise_distance``, ``min_ring_distance``) go
-  through ``_min_distance``, one float32 matrix product per block of rows
-  against itself and all later rows, each block capped at 2^20 scores;
-* the Hamming, reverse and RC constraints go through ``_row_min``, which
-  scores the image of each word (the word itself, its codon reversal or
-  its reverse-complement) against the word and all later words with one
-  table lookup, and stops at the first score below the constraint's bound.
+format of ``cyclic.Code``.  Every distance and constraint scores pairs of
+rows by summing entries of a 4x4 letter or 16x16 symbol distance table
+along the row, through one kernel, ``_product_min``: one float32 matrix
+product per block of rows against itself and all later rows, each block
+capped at 2^20 scores.  The distances (``min_letterwise_distance``,
+``min_ring_distance``) score each word against the others; the Hamming,
+reverse and RC constraints score the word, its codon reversal or its
+reverse-complement against the words, and stop after the first block
+with a score below the constraint's bound.
 
 On the n = 7 codes of 256, 1024 and 4096 words, on a shared 2-vCPU
-machine, the three distances take 0.3-0.6, 3-6 and 28-47 ms (4-7, 44-71
-and 640-1190 ms on the rows one at a time), and a Hamming, reverse or RC
-constraint that holds takes 5-8, 66-87 and 980-1170 ms.  The GC
-constraint counts the letters C and G on the same rows.
+machine, the three distances take 0.5-0.6, 3-4 and 31-43 ms, and a
+Hamming, reverse or RC constraint that holds takes 0.4, 3-4 and 22-24 ms
+(5, 58-59 and 850-930 ms one word at a time).  A constraint that fails
+still scores one whole block: 0.4-0.5, 3-4 and 6-7 ms.  The GC constraint
+counts the letters C and G on the same rows.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ def hamming(x: DnaWord, y: DnaWord) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Codebook distances and constraints on rows: the distances score blocks of
-# rows with one matrix product each, the constraints one word at a time.
+# Codebook distances and constraints on rows: both score blocks of rows with
+# one matrix product each.
 # ---------------------------------------------------------------------------
 
 # Distance tables indexed [x, y] by two letter indices or two ring symbol
@@ -167,67 +167,58 @@ def _reversed_letters(letters: np.ndarray) -> np.ndarray:
     return letters.reshape(m, width // 2, 2)[:, ::-1].reshape(m, width)
 
 
-def _row_min(rows: np.ndarray, table: np.ndarray, image: np.ndarray | None = None,
-             floor: int = 0) -> int | None:
-    """Least nonzero score of ``image[i]`` against ``rows[j]``, j >= i, over
-    the rows of a book of distinct words, scoring a pair by the ``table``
-    entries of its letters or symbols summed along the row; None when no
-    score is nonzero.  Returns a score below ``floor`` as soon as one is
-    found.  It serves the Hamming, reverse and RC constraints, whose first
-    row below the bound ends the scan; the distances, which need every
-    pair, go through ``_min_distance``.
-
-    ``image`` defaults to ``rows``, giving the least distance over pairs of
-    distinct words, as the Hamming constraint needs.  Otherwise it holds the
-    codon reversal or the reverse-complement of each row, an involution that
-    preserves distance, so (x, y) scores what (y, x) scores and j >= i
-    covers every ordered pair; a score is zero exactly when image(x) == y.
-    """
-    if image is None:
-        image = rows
-    lows = []
-    for i, x in enumerate(image):
-        scores = table[x, rows[i:]].sum(axis=1)
-        scores = scores[scores > 0]
-        if scores.size:
-            lows.append(int(scores.min()))
-            if lows[-1] < floor:
-                break
-    return min(lows, default=None)
-
-
-# Most score entries one block of the distance product holds (4 MB of
-# float32), so a 4096-word book is scored 256 rows at a time and never holds
-# its 64 MB matrix.
+# Most score entries one block of the product holds (4 MB of float32), so a
+# 4096-word book is scored 256 rows at a time and never holds its 64 MB
+# matrix.
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _min_distance(rows: np.ndarray, table: np.ndarray) -> int:
-    """Least nonzero score over pairs of the rows of a book of distinct
-    words, scoring a pair by the ``table`` entries of its letters or
-    symbols summed along the row; raises TrivialCode when no score is
-    nonzero.
+def _product_min(rows: np.ndarray, table: np.ndarray, image: np.ndarray | None = None,
+                 floor: int = 0) -> int | None:
+    """Least nonzero score of ``image[i]`` against ``rows[j]`` over the rows
+    of a book of distinct words, scoring a pair by the ``table`` entries of
+    its letters or symbols summed along the row; None when no score is
+    nonzero.  Stops after the first block whose least score is below
+    ``floor`` and returns that score.
 
     The score of (x, y) is the product of two rows of width L*k for a k x k
-    table: x's table rows gathered by its letters or symbols, and the
-    one-hot encoding of y.  Each block of rows is scored against itself and
-    the rows after it, one float32 product per block.  Every score is an
-    integer of at most the largest table entry times L, 4 * 63 = 252 for
-    the ring words of n = 63, and float32 holds every integer up to 2^24,
-    so any summation order gives it exactly.
+    table: the table rows of x's image gathered by its letters or symbols,
+    and the one-hot encoding of y.  Each block of rows is scored against
+    itself and the rows after it, one float32 product per block.  Every
+    score is an integer of at most the largest table entry times L,
+    4 * 63 = 252 for the ring words of n = 63, and float32 holds every
+    integer up to 2^24, so any summation order gives it exactly.
+
+    ``image`` defaults to ``rows``, giving the least distance over pairs of
+    distinct words.  Otherwise it holds the codon reversal or the
+    reverse-complement of each row, an involution that preserves distance,
+    so (x, y) scores what (y, x) scores and a pair skipped before its block
+    was scored in an earlier one; a score is zero exactly when
+    image(x) == y.
     """
+    if image is None:
+        image = rows
     m, width = rows.shape
     k = len(table)
-    weights = table.astype(np.float32)[rows].reshape(m, width * k)
+    weights = table.astype(np.float32)[image].reshape(m, width * k)
     onehot = np.eye(k, dtype=np.float32)[rows].reshape(m, width * k)
     step = max(1, _BLOCK_ENTRIES // max(m, 1))
     best = np.inf
     for start in range(0, m, step):
         scores = weights[start:start + step] @ onehot[start:].T
         best = min(best, scores.min(where=scores > 0, initial=np.inf))
-    if best == np.inf:
+        if best < floor:
+            break
+    return None if best == np.inf else int(best)
+
+
+def _min_distance(rows: np.ndarray, table: np.ndarray) -> int:
+    """The least distance over pairs of distinct rows; raises TrivialCode
+    when no score is nonzero."""
+    best = _product_min(rows, table)
+    if best is None:
         raise TrivialCode("need at least two words")
-    return int(best)
+    return best
 
 
 def min_letterwise_distance(codebook: Iterable[DnaWord]) -> int:
@@ -245,7 +236,7 @@ def min_ring_distance(codebook: Iterable[DnaWord], metric: str) -> int:
 
 
 def _holds(letters: np.ndarray, d: int, image: np.ndarray | None = None) -> bool:
-    best = _row_min(letters, _LETTER_TABLE, image, d)
+    best = _product_min(letters, _LETTER_TABLE, image, d)
     return best is None or best >= d
 
 

@@ -3,7 +3,8 @@
 The references below are the plain definitions: every ordered pair of
 distinct words for the distances, every ordered pair (x, y) with
 image(x) != y for the constraints, and ring distances by RingElem
-subtraction.
+subtraction.  ``row_min`` is a slow path on rows, one table lookup per
+word, that the blocked product of ``dna`` is checked against.
 """
 
 import contextlib
@@ -45,6 +46,31 @@ def brute_holds(words, d, image):
     book = set(words)
     return all(dna.hamming(image(x), y) >= d
                for x in book for y in book if image(x) != y)
+
+
+def row_min(rows, table, image=None, floor=0):
+    """Least nonzero score of ``image[i]`` against ``rows[j]``, j >= i, over
+    the rows of a book of distinct words, scoring a pair by the ``table``
+    entries of its letters or symbols summed along the row; None when no
+    score is nonzero.  Returns a score below ``floor`` as soon as one is
+    found.
+
+    ``image`` defaults to ``rows``, giving the least distance over pairs of
+    distinct words.  Otherwise it holds an involution of the rows that
+    preserves distance, so (x, y) scores what (y, x) scores and j >= i
+    covers every ordered pair; a score is zero exactly when image(x) == y.
+    """
+    if image is None:
+        image = rows
+    lows = []
+    for i, x in enumerate(image):
+        scores = table[x, rows[i:]].sum(axis=1)
+        scores = scores[scores > 0]
+        if scores.size:
+            lows.append(int(scores.min()))
+            if lows[-1] < floor:
+                break
+    return min(lows, default=None)
 
 
 def ring_distance(metric):
@@ -150,7 +176,7 @@ def test_hamming_constraint_of_raw_words(book):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(codebooks(), letter_books()))
 def test_letterwise_distance_agrees_with_hamming_constraint(book):
-    """Two paths through the row kernel, the least distance and the
+    """Two paths through the product kernel, the least distance and the
     constraint with its early exit at ``d``: the distance is d exactly when
     the constraint holds at d and not at d + 1."""
     assume(len(set(book)) >= 2)
@@ -225,8 +251,8 @@ def book_4096():
 @given(codebooks(), st.data())
 def test_distance_product_across_blocks_matches_row_min_and_pairs(book, data):
     """With the block cap shrunk so that each book spans two or more
-    blocks, down to one row per block: the product route, ``_row_min`` and
-    the minimum over pairs agree for every metric."""
+    blocks, down to one row per block: the product route, the ``row_min``
+    oracle and the minimum over pairs agree for every metric."""
     m = len(set(book))
     assume(m >= 2)
     entries = data.draw(st.integers(1, m * m - 1), label="block entries")
@@ -234,13 +260,13 @@ def test_distance_product_across_blocks_matches_row_min_and_pairs(book, data):
         for metric, distance in DISTANCES.items():
             rows, table = distance_rows(book, metric)
             expected = brute_min(book, PAIR_DISTANCES[metric])
-            assert dna._row_min(rows, table) == expected, metric
+            assert row_min(rows, table) == expected, metric
             assert dna._min_distance(rows, table) == expected, metric
             assert distance(book) == expected, metric
 
 
 def test_distance_product_of_a_4096_word_code(book_4096):
-    """At the real block cap: the product route against ``_row_min`` and,
+    """At the real block cap: the product route against ``row_min`` and,
     for the ring metrics, the least nonzero weight of the code (an additive
     group, so x - y is a word of it)."""
     code, book = book_4096
@@ -249,7 +275,7 @@ def test_distance_product_of_a_4096_word_code(book_4096):
     assert weights == {"dna": 2, "hamming": 2, "lee": 4}
     for metric, distance in DISTANCES.items():
         rows, table = distance_rows(book, metric)
-        assert distance(book) == dna._row_min(rows, table) == weights[metric], metric
+        assert distance(book) == row_min(rows, table) == weights[metric], metric
 
 
 def test_distance_product_allocates_far_below_one_unblocked_matrix(book_4096):
@@ -264,6 +290,44 @@ def test_distance_product_allocates_far_below_one_unblocked_matrix(book_4096):
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20, (metric, peak)
+
+
+def test_constraints_of_a_4096_word_code_at_their_bounds(book_4096):
+    """At the real block cap, past one block: Hamming and reverse hold at 2
+    and fail at 3, RC holds at 8 and fails at 9, and each constraint peaks
+    under 16 MB of traced allocation, as the distances do."""
+    _, book = book_4096
+    for name, d in {"hamming": 2, "reverse": 2, "rc": 8}.items():
+        tracemalloc.start()
+        try:
+            holds = CONSTRAINTS[name](book, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds and peak < 16 << 20, (name, peak)
+        assert not CONSTRAINTS[name](book, d + 1), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(codebooks(), st.data())
+def test_constraints_across_blocks_match_brute_force(book, data):
+    """With the block cap at one row per block or drawn below one block for
+    the book: each constraint against ``brute_holds`` at every d from its
+    true minimum - 1 to its true minimum + 1, so the exit after the first
+    block with a score below d comes at a block boundary and inside a
+    block.  A constraint with no pair to score is checked at every d."""
+    m = len(set(book))
+    entries = data.draw(st.one_of(st.just(1), st.integers(1, max(1, m * m - 1))),
+                        label="block entries")
+    with mock.patch.object(dna, "_BLOCK_ENTRIES", entries):
+        for name, check in CONSTRAINTS.items():
+            image = IMAGES[name]
+            dists = [dna.hamming(image(x), y) for x in set(book) for y in set(book)
+                     if image(x) != y]
+            bounds = (range(min(dists) - 1, min(dists) + 2) if dists
+                      else range(len(book[0]) + 2))
+            for d in bounds:
+                assert check(book, d) == brute_holds(book, d, image), (name, d)
 
 
 def n63_word(symbol):
@@ -282,17 +346,17 @@ def test_distance_product_of_the_widest_words(metric, book, expected):
     """n = 63 words (126 letters, 63 symbols) differing in every letter or
     symbol, the Lee pair at weight 4 in each symbol, so its score is the
     largest any pair of the paper's words can have; then the same words
-    among random ones, one row per block, against ``_row_min`` and pairs."""
+    among random ones, one row per block, against ``row_min`` and pairs."""
     assert LEE_4.lee_weight() == 4
     rows, table = distance_rows(book, metric)
-    assert DISTANCES[metric](book) == dna._row_min(rows, table) == expected
+    assert DISTANCES[metric](book) == row_min(rows, table) == expected
     rng = random.Random(63)
     book = book + [n63_word(rng.choice(ALL_ELEMENTS)) for _ in range(4)]
     book += ["".join(rng.choice(CODONS) for _ in range(63)) for _ in range(4)]
     rows, table = distance_rows(book, metric)
     expected = brute_min(book, PAIR_DISTANCES[metric])
     with mock.patch.object(dna, "_BLOCK_ENTRIES", 1):
-        assert DISTANCES[metric](book) == dna._row_min(rows, table) == expected
+        assert DISTANCES[metric](book) == row_min(rows, table) == expected
 
 
 def full_image_min(words, image):
@@ -430,13 +494,16 @@ IMAGE_ROWS = {
 
 
 @settings(max_examples=200, deadline=None)
-@given(letter_books(), st.sampled_from([None, *IMAGE_ROWS]), st.integers(0, 9))
-def test_row_min_contract(book, image_name, floor):
-    """``_row_min`` against the full m x m table of ordered pairs (image(x),
-    y), skipping zero scores, for distinct letter rows and no image or an
-    involutive, distance-preserving one: None exactly when no pair scores
-    nonzero, a score from the true minimum up to below ``floor`` when the
-    true minimum is below ``floor``, and the true minimum otherwise."""
+@given(letter_books(), st.sampled_from([None, *IMAGE_ROWS]), st.integers(0, 9), st.data())
+def test_row_min_contract(book, image_name, floor, data):
+    """The product kernel ``dna._product_min``, with the block cap drawn from
+    one row per block up to one block for the whole book, and the
+    ``row_min`` oracle, each against the full m x m table of ordered pairs
+    (image(x), y), skipping zero scores, for distinct letter rows and no
+    image or an involutive, distance-preserving one: None exactly when no
+    pair scores nonzero, a score from the true minimum up to below
+    ``floor`` when the true minimum is below ``floor``, and the true
+    minimum otherwise."""
     rows = dna._letter_rows(sorted(set(book)))
     assume(image_name not in ("codon reversal", "reverse-complement")
            or rows.shape[1] % 2 == 0)
@@ -444,13 +511,16 @@ def test_row_min_contract(book, image_name, floor):
     scores = ((rows if image is None else image)[:, None] != rows[None]).sum(axis=2)
     nonzero = scores[scores > 0]
     true = int(nonzero.min()) if nonzero.size else None
-    got = dna._row_min(rows, dna._LETTER_TABLE, image, floor)
-    if true is None:
-        assert got is None
-    elif true < floor:
-        assert true <= got < floor
-    else:
-        assert got == true
+    entries = data.draw(st.integers(1, len(rows) ** 2), label="block entries")
+    with mock.patch.object(dna, "_BLOCK_ENTRIES", entries):
+        got = dna._product_min(rows, dna._LETTER_TABLE, image, floor)
+    for result in (got, row_min(rows, dna._LETTER_TABLE, image, floor)):
+        if true is None:
+            assert result is None
+        elif true < floor:
+            assert true <= result < floor
+        else:
+            assert result == true
 
 
 def test_reverse_word_checks_letters_first():

@@ -14,22 +14,29 @@ not one).  Every codebook distance and constraint reads it through one
 reader, ``_book``, which checks it and returns the letter rows (letter
 indices A, C, G, T = 0-3) of its sorted distinct words; the ring Hamming
 and Lee distances turn those rows into symbol indices 4a + b, the row
-format of ``cyclic.Code``.  Every distance and constraint scores pairs of
-rows by summing entries of a 4x4 letter or 16x16 symbol distance table
-along the row, through one kernel, ``_product_min``: one float32 matrix
-product per block of rows against itself and all later rows, each block
-capped at 2^20 scores.  The distances (``min_letterwise_distance``,
-``min_ring_distance``) score each word against the others; the Hamming,
-reverse and RC constraints score the word, its codon reversal or its
-reverse-complement against the words, and stop after the first block
-with a score below the constraint's bound.
+format of ``cyclic.Code``.  A valid book's alphabet is checked in one
+table lookup over all its letters; only a book with a letter outside
+ACGT is checked again one word at a time, to name the first bad word.
+Codebook files are UTF-8 text, one ACGT word per line, and
+``parse_codebook`` checks all their words in the same one lookup.  Every
+distance and constraint scores pairs of rows by summing entries of a 4x4
+letter or 16x16 symbol distance table along the row, through one kernel,
+``_product_min``: one float32 matrix product per block of rows against
+itself and all later rows, each block capped at 2^20 scores.  The
+distances (``min_letterwise_distance``, ``min_ring_distance``) score
+each word against the others; the Hamming, reverse and RC constraints
+score the word, its codon reversal or its reverse-complement against the
+words, and stop after the first block with a score below the
+constraint's bound.
 
 On the n = 7 codes of 256, 1024 and 4096 words, on a shared 2-vCPU
-machine, the three distances take 0.5-0.6, 3-4 and 31-43 ms, and a
-Hamming, reverse or RC constraint that holds takes 0.4, 3-4 and 22-24 ms
-(5, 58-59 and 850-930 ms one word at a time).  A constraint that fails
-still scores one whole block: 0.4-0.5, 3-4 and 6-7 ms.  The GC constraint
-counts the letters C and G on the same rows.
+machine, ``_book`` takes 0.04-0.06, 0.24-0.36 and 1.2-1.7 ms, the
+letterwise distance 0.14-0.22, 1.9-2.9 and 18-28 ms and the ring
+distances 0.21-0.35, 2.7-4 and 27-39 ms, and a Hamming, reverse or RC
+constraint that holds takes 0.14-0.23, 1.9-2.9 and 17-27 ms (5, 58-59
+and 850-930 ms one word at a time).  A constraint that fails still
+scores one whole block: 0.14-0.25, 1.9-2.9 and 3.3-4.9 ms.  The GC
+constraint counts the letters C and G on the same rows.
 """
 
 from __future__ import annotations
@@ -120,17 +127,29 @@ _RING_TABLES = {
     "lee": _LEE[_ADD.reshape(16, 16)[:, _NEG[:16]]],
 }
 
-# Letter index A, C, G, T = 0-3 of each byte.
-_LETTER = np.zeros(256, np.uint8)
+# Letter index A, C, G, T = 0-3 of each byte, and 4 of every other byte.
+_LETTER = np.full(256, 4, np.uint8)
 _LETTER[list(b"ACGT")] = range(4)
 
 
+def _letters(words: Sequence[DnaWord]) -> np.ndarray:
+    """The letter indices of the joined words, read in one table lookup.
+    Only when that finds a letter outside ACGT are the words checked one
+    at a time, which raises BadAlphabet naming the first bad word."""
+    joined = "".join(words)
+    letters = (_LETTER[np.frombuffer(joined.encode("ascii"), np.uint8)]
+               if joined.isascii() else None)
+    if letters is None or letters.max(initial=0) > 3:
+        for w in words:
+            _require_acgt(w)
+    return letters
+
+
 def _letter_rows(words: Sequence[DnaWord]) -> np.ndarray:
-    """The m x L uint8 rows of letter indices of m ACGT words of one
-    length L."""
+    """The m x L uint8 rows of letter indices of m words of one length L;
+    raises BadAlphabet naming the first word with a letter outside ACGT."""
     width = len(words[0]) if words else 0
-    letters = _LETTER[np.frombuffer("".join(words).encode("ascii"), np.uint8)]
-    return letters.reshape(len(words), width)
+    return _letters(words).reshape(len(words), width)
 
 
 def _codon_pairs(letters: np.ndarray) -> np.ndarray:
@@ -154,11 +173,10 @@ def _book(codebook: Iterable[DnaWord], codons: bool = False) -> np.ndarray:
     words = sorted(set(codebook))
     if len({len(w) for w in words}) > 1:
         raise LengthMismatch("words must share one length")
-    for w in words:
-        _require_acgt(w)
+    letters = _letter_rows(words)
     if codons and words:
         _require_codons(words[0])
-    return _letter_rows(words)
+    return letters
 
 
 def _reversed_letters(letters: np.ndarray) -> np.ndarray:
@@ -200,13 +218,14 @@ def _product_min(rows: np.ndarray, table: np.ndarray, image: np.ndarray | None =
         image = rows
     m, width = rows.shape
     k = len(table)
-    weights = table.astype(np.float32)[image].reshape(m, width * k)
-    onehot = np.eye(k, dtype=np.float32)[rows].reshape(m, width * k)
+    weights = table.astype(np.float32).take(image, axis=0).reshape(m, width * k)
+    onehot = np.eye(k, dtype=np.float32).take(rows, axis=0).reshape(m, width * k)
     step = max(1, _BLOCK_ENTRIES // max(m, 1))
     best = np.inf
     for start in range(0, m, step):
         scores = weights[start:start + step] @ onehot[start:].T
-        best = min(best, scores.min(where=scores > 0, initial=np.inf))
+        scores[scores == 0] = np.inf
+        best = min(best, scores.min(initial=np.inf))
         if best < floor:
             break
     return None if best == np.inf else int(best)
@@ -266,22 +285,22 @@ def check_gc_constraint(codebook: Iterable[DnaWord]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Codebook files: one word per line, uppercase ACGT, '#' comments allowed.
+# Codebook files: UTF-8 text, one word per line, uppercase ACGT, '#' comments
+# allowed.
 # ---------------------------------------------------------------------------
 
 def parse_codebook(text: str) -> list[DnaWord]:
-    words = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        _require_acgt(line)
-        words.append(line)
+    """The stripped lines of a codebook file in file order, skipping blank
+    lines and '#' comments; raises BadAlphabet naming the first line with a
+    letter outside ACGT."""
+    words = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    _letters(words)
     return words
 
 
 def read_codebook(path) -> list[DnaWord]:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return parse_codebook(fh.read())
 
 

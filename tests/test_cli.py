@@ -193,6 +193,19 @@ def test_distance_codebook_does_not_need_n(tmp_path, capsys):
                    "--metric", metric) == (0, expected, "")
 
 
+def test_distance_codebook_reads_utf8(tmp_path, capsys):
+    """A codebook file is UTF-8: a comment outside ASCII reads as a comment,
+    and a word with a letter outside ACGT, ASCII or not, is a usage error
+    naming that word."""
+    book = tmp_path / "book.txt"
+    book.write_text("# n=3 \u00e9\nAAAA\nAATT\n", encoding="utf-8")
+    assert run(capsys, "distance", "--codebook", str(book), "--metric", "dna") == (0, "2\n", "")
+    for word in ("AATX", "AAT\u00c9"):
+        book.write_text(f"# n=3 \u00e9\nAAAA\n{word}\n", encoding="utf-8")
+        assert run(capsys, "distance", "--codebook", str(book), "--metric", "dna") == (
+            2, "", f"error: letters outside ACGT in {word!r}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("distance", "--metric", "dna"),
     ("distance", "--f1", "1,1,1", "--f2", "1,1,1", "--metric", "hamming"),

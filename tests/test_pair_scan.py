@@ -4,7 +4,10 @@ The references below are the plain definitions: every ordered pair of
 distinct words for the distances, every ordered pair (x, y) with
 image(x) != y for the constraints, and ring distances by RingElem
 subtraction.  ``row_min`` is a slow path on rows, one table lookup per
-word, that the blocked product of ``dna`` is checked against.
+word, that the blocked product of ``dna`` is checked against;
+``per_word_book`` and ``per_line_codebook`` are slow readers, one
+alphabet check per word, that the one-lookup readers of ``dna`` are
+checked against.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ from hypothesis import assume, given, settings, strategies as st
 from z4udna import dna
 from z4udna.cli import main
 from z4udna.cyclic import GeneratorSet, enumerate_code
-from z4udna.errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode
+from z4udna.errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode, Z4uError
 from z4udna.poly import Poly
 from z4udna.ring import ALL_ELEMENTS, RingElem
 
@@ -73,6 +76,40 @@ def row_min(rows, table, image=None, floor=0):
     return min(lows, default=None)
 
 
+def per_word_book(codebook, codons=False):
+    """The letter rows of the sorted distinct words of a book, checking one
+    word at a time: LengthMismatch, then BadAlphabet naming the first
+    sorted bad word, then, with ``codons``, OddLength naming the first
+    sorted word."""
+    if isinstance(codebook, str):
+        raise TypeError("a codebook is a collection of words, not a str")
+    words = sorted(set(codebook))
+    if len({len(w) for w in words}) > 1:
+        raise LengthMismatch("words must share one length")
+    for w in words:
+        if set(w) - set("ACGT"):
+            raise BadAlphabet(f"letters outside ACGT in {w!r}")
+    if codons and words and len(words[0]) % 2:
+        raise OddLength(f"cannot split {words[0]!r} into codons")
+    width = len(words[0]) if words else 0
+    return np.array([["ACGT".index(c) for c in w] for w in words],
+                    np.uint8).reshape(len(words), width)
+
+
+def per_line_codebook(text):
+    """The stripped lines of a codebook file's text, skipping blank lines
+    and '#' comments, checking one line at a time."""
+    words = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if set(line) - set("ACGT"):
+            raise BadAlphabet(f"letters outside ACGT in {line!r}")
+        words.append(line)
+    return words
+
+
 def ring_distance(metric):
     def distance(x, y):
         diff = [cx - cy for cx, cy in zip(dna.decode(x), dna.decode(y))]
@@ -119,6 +156,49 @@ def letter_books(draw):
     words = draw(st.lists(st.text("ACGT", min_size=length, max_size=length),
                           min_size=1, max_size=12))
     return words + draw(st.lists(st.sampled_from(words), max_size=2))
+
+
+# Letters outside ACGT: an ASCII one, a lowercase one, two outside ASCII
+# and a lone surrogate, which a str can hold but UTF-8 cannot encode.
+OUTSIDE_ACGT = ("X", "a", "\u00e9", "\u00dc", "\ud800")
+
+
+@st.composite
+def raw_books(draw):
+    """Books of up to 8 words of one length from 0 to 7 or, now and then, of
+    mixed lengths, over ACGT alone or with the letters of OUTSIDE_ACGT."""
+    letters = st.sampled_from("ACGT")
+    if draw(st.booleans()):
+        letters = st.one_of(letters, st.sampled_from(OUTSIDE_ACGT))
+    lengths = st.integers(0, 7) if draw(st.booleans()) else st.just(draw(st.integers(0, 7)))
+    word = lengths.flatmap(lambda k: st.lists(letters, min_size=k, max_size=k).map("".join))
+    return draw(st.lists(word, max_size=8))
+
+
+def outcome(read, *args):
+    """What a reader returns (an array as its dtype, shape and entries), or
+    the type and message of what it raises."""
+    try:
+        result = read(*args)
+    except Z4uError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tolist()
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_books(), st.booleans(), st.lists(st.sampled_from(
+    ["", "  ", "# n=3 \u00e9", "#ACGX", "# \ud800"]), max_size=3), st.data())
+def test_readers_match_per_word_checks(book, codons, extra, data):
+    """``dna._book`` returns the rows, or raises the exception and message,
+    that one check per word gives; ``dna.parse_codebook`` does the same for
+    the text of the book's words among blank lines, indented words and
+    '#' comments inside and outside ASCII."""
+    assert outcome(dna._book, book, codons) == outcome(per_word_book, book, codons)
+    lines = data.draw(st.permutations([*book, *extra]), label="lines")
+    text = "\n".join(f" {line}\t" if i % 3 == 1 else line for i, line in enumerate(lines))
+    assert outcome(dna.parse_codebook, text) == outcome(per_line_codebook, text)
 
 
 @settings(max_examples=150, deadline=None)
@@ -328,6 +408,37 @@ def test_constraints_across_blocks_match_brute_force(book, data):
                       else range(len(book[0]) + 2))
             for d in bounds:
                 assert check(book, d) == brute_holds(book, d, image), (name, d)
+
+
+def test_a_valid_book_is_checked_in_one_lookup(tmp_path):
+    """On the 256-word n=7 book of the ``codebook`` benchmark workload no
+    distance, constraint or file read checks a word on its own; with one
+    word outside ACGT each of them does, and raises BadAlphabet naming it."""
+    code = enumerate_code(GeneratorSet(7, Poly.parse("3,0,0,0,0,0,0,1"), Poly.parse("3,1,2,1")))
+    book = code.dna_words()
+    path = tmp_path / "book.txt"
+    path.write_text(dna.render_codebook(book, comment="n=7 size=256"))
+    bad = "ACGX" + book[0][4:]
+    bad_path = tmp_path / "bad.txt"
+    bad_path.write_text(dna.render_codebook([bad, *book[1:]]))
+    readers = {
+        "letterwise": dna.min_letterwise_distance,
+        "ring hamming": lambda book: dna.min_ring_distance(book, "hamming"),
+        "ring lee": lambda book: dna.min_ring_distance(book, "lee"),
+        "hamming": lambda book: dna.check_hamming_constraint(book, 3),
+        "reverse": lambda book: dna.check_reverse_constraint(book, 1),
+        "rc": lambda book: dna.check_rc_constraint(book, 7),
+        "gc": dna.check_gc_constraint,
+        "file": dna.read_codebook,
+    }
+    for name, read in readers.items():
+        valid, invalid = (path, bad_path) if name == "file" else (book, [bad, *book[1:]])
+        with mock.patch.object(dna, "_require_acgt", wraps=dna._require_acgt) as check:
+            read(valid)
+            assert check.call_count == 0, name
+            with pytest.raises(BadAlphabet, match=repr(bad)):
+                read(invalid)
+            assert check.call_count >= 1, name
 
 
 def n63_word(symbol):

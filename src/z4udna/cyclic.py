@@ -35,31 +35,6 @@ CodeWord = tuple[RingElem, ...]
 _SYMBOL_TEXT = {"ring": TEXT, "dna": CODON, "gray": GRAY}
 
 
-# ---------------------------------------------------------------------------
-# Word-level operations
-# ---------------------------------------------------------------------------
-
-def cyclic_shift(w: CodeWord) -> CodeWord:
-    """Right rotation: (c0, ..., c_{n-1}) -> (c_{n-1}, c0, ..., c_{n-2})."""
-    return w[-1:] + w[:-1]
-
-
-def reverse_word(w: CodeWord) -> CodeWord:
-    return tuple(reversed(w))
-
-
-def complement_word(w: CodeWord) -> CodeWord:
-    return tuple(c.complement() for c in w)
-
-
-def reverse_complement(w: CodeWord) -> CodeWord:
-    return tuple(c.complement() for c in reversed(w))
-
-
-def word_from_poly(f: Poly, n: int) -> CodeWord:
-    return tuple(ALL_ELEMENTS[k] for k in poly_mod_xn(f, n).symbols.ljust(n, b"\0"))
-
-
 def word_to_row(w: CodeWord) -> np.ndarray:
     return np.array([c.index for c in w], dtype=np.uint8)
 

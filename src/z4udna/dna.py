@@ -6,8 +6,8 @@ codon per symbol.  Reversal of a DNA word here means reversal of the
 not strand reversal of individual letters; complement is letterwise
 Watson-Crick pairing, which coincides with the ring-level complement
 through the codon table.  That table is ``ring.CODON``, indexed by the
-symbol index 4a + b; ``encode`` indexes it and ``decode`` and the ring
-distances read through its inverse ``_CODON_SYMBOL``.
+symbol index 4a + b; the ring distances read through its inverse
+``_CODON_SYMBOL``.
 
 A codebook is a collection of words (a list, tuple or set; a bare str is
 not one).  Every codebook distance and constraint reads it through one
@@ -41,15 +41,13 @@ constraint counts the letters C and G on the same rows.
 
 from __future__ import annotations
 
-from operator import ne
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode
-from .ring import ADD, ALL_ELEMENTS, CODON, LEE, NEG, RingElem
+from .ring import ADD, CODON, LEE, NEG
 
-_WCC = str.maketrans("ACGT", "TGCA")
 _LETTERS = frozenset("ACGT")
 
 DnaWord = str
@@ -65,51 +63,10 @@ def _require_codons(d: DnaWord) -> None:
         raise OddLength(f"cannot split {d!r} into codons")
 
 
-def encode(w: Sequence[RingElem]) -> DnaWord:
-    """Concatenate the codon of each symbol."""
-    return "".join([CODON[c.index] for c in w])
-
-
-def decode(d: DnaWord) -> tuple[RingElem, ...]:
-    """Inverse of encode; validates alphabet, then even length."""
-    symbols = _CODON_SYMBOL[_codon_pairs(_book([d], codons=True))]
-    return tuple(ALL_ELEMENTS[k] for k in symbols[0].tolist())
-
-
-def letterwise_complement(d: DnaWord) -> DnaWord:
-    """A<->T, C<->G in place."""
-    _require_acgt(d)
-    return d.translate(_WCC)
-
-
-def reverse_word(d: DnaWord) -> DnaWord:
-    """Reverse the codon order, keeping letters within each codon;
-    validates alphabet, then even length."""
-    _require_acgt(d)
-    _require_codons(d)
-    return "".join(d[i:i + 2] for i in range(len(d) - 2, -2, -2))
-
-
-def reverse_complement_word(d: DnaWord) -> DnaWord:
-    """Codon reversal of the letterwise complement; validates alphabet,
-    then even length, and names ``d`` itself in either error."""
-    return reverse_word(d).translate(_WCC)
-
-
 def gc_content(d: DnaWord) -> int:
     """Number of G or C letters; validates alphabet."""
     _require_acgt(d)
     return sum(1 for ch in d if ch in "GC")
-
-
-def hamming(x: DnaWord, y: DnaWord) -> int:
-    """Number of positions where two words differ; validates the alphabet
-    of both, then their lengths."""
-    _require_acgt(x)
-    _require_acgt(y)
-    if len(x) != len(y):
-        raise LengthMismatch("words must share one length")
-    return sum(map(ne, x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ are stated once, as 16-entry tuples over that index:
 
 ``RingElem``'s arithmetic, ``complement`` and ``lee_weight`` (of the Z4
 pair ``(b, a+b)``) stay on their (a, b) formulas, not on the index tables
-``ADD``, ``MUL``, ``INV``, ``COMPLEMENT`` and ``LEE``: the tests use them
-as the independent reference for those tables.
+``ADD``, ``MUL``, ``COMPLEMENT`` and ``LEE``: the tests use them as the
+independent reference for those tables; ``tests/oracles.py`` holds the
+one for ``INV``.
 
 No element equals its own complement (2x = 1+u has no solution), which is
 what makes length-preserving reverse-complement codes possible at all.
@@ -128,12 +129,6 @@ class RingElem:
     def is_unit(self) -> bool:
         """True iff the element is invertible, i.e. a is odd."""
         return self.a % 2 == 1
-
-    def inverse(self) -> "RingElem":
-        if not self.is_unit():
-            raise ValueError(f"{self} is not a unit")
-        ai = self.a  # odd residues are self-inverse mod 4
-        return RingElem(ai, -ai * ai * self.b)
 
     def complement(self) -> "RingElem":
         """Watson-Crick complement at the ring level: (1+u) - x."""

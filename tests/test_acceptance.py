@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 
+from oracles import all_multiplier_words, letterwise_complement
 from z4udna import dna
 from z4udna.conditions import (
     check_rc_single,
@@ -20,9 +21,7 @@ from z4udna.conditions import (
 from z4udna.cyclic import (
     GeneratorSet,
     enumerate_code,
-    generator_polys,
     is_quasi_cyclic_index4,
-    word_from_poly,
 )
 from z4udna.poly import (
     Poly,
@@ -95,7 +94,7 @@ def test_acceptance_02_codon_table_fidelity():
     ok = len(codons) == 16
     ok &= all(x.complement().codon() == "".join(WCC[ch] for ch in x.codon())
               for x in ALL_ELEMENTS)
-    ok &= dna.letterwise_complement("GCATAG") == "CGTATC"
+    ok &= letterwise_complement("GCATAG") == "CGTATC"
     _report("codon table is a WCC-compatible bijection (incl. GCATAG -> CGTATC)",
             ok and time.perf_counter() - t0 < 1.0, t0)
 
@@ -194,43 +193,6 @@ def test_acceptance_08_gray_images_are_quasi_cyclic():
             ok and time.perf_counter() - t0 < 1.0, t0)
 
 
-def _oracle_words(gens):
-    """The ideal as a plain set, built directly from its definition.
-
-    Every product m*g over all 4096 multiplier polynomials is computed by
-    coefficient convolution, then the two product sets are combined with a
-    Minkowski sum (translates of the first set, skipping translations that
-    already landed inside).  No iterative span closure is involved.
-    """
-    n = gens.n
-    g_a, g_b = generator_polys(gens)
-
-    def products(g):
-        base = word_from_poly(g, n)
-        out = set()
-        for coeffs in itertools.product(ALL_ELEMENTS, repeat=n):
-            word = [RingElem(0)] * n
-            for i, m in enumerate(coeffs):
-                if not m:
-                    continue
-                for j, c in enumerate(base):
-                    k = (i + j) % n
-                    word[k] = word[k] + m * c
-            out.add(tuple(word))
-        return out
-
-    combined = products(g_a)
-    if g_b is None:
-        return combined
-    second = products(g_b)
-    result = set()
-    for shift in second:
-        if shift in result:
-            continue  # its whole translate is already covered
-        result |= {tuple(a + s for a, s in zip(word, shift)) for word in combined}
-    return result
-
-
 def test_acceptance_09_enumeration_matches_direct_oracle():
     t0 = time.perf_counter()
     rng = random.Random(11)
@@ -248,7 +210,7 @@ def test_acceptance_09_enumeration_matches_direct_oracle():
             f3 = rng.choice(divisors)
             f4 = rng.choice([d for d in divisors if divides(d, f3, 3)])
             gens = GeneratorSet(3, f1, f2, f14, f3, f4)
-        ok &= set(enumerate_code(gens).words()) == _oracle_words(gens)
+        ok &= set(enumerate_code(gens).words()) == all_multiplier_words(gens)
         checked += 1
     _report("enumeration equals the all-multipliers oracle on 20 random length-3 codes",
             ok and time.perf_counter() - t0 < 30.0, t0)

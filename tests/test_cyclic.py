@@ -8,22 +8,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from test_acceptance import _oracle_words
+from oracles import (
+    all_multiplier_words,
+    complement_word,
+    cyclic_shift,
+    ideal_words,
+    reverse_complement,
+    reverse_word,
+    word_from_poly,
+)
 from z4udna import _dense, dna
 from z4udna.conditions import _divisor_lattice, _random_instance
 from z4udna.cyclic import (
     GeneratorSet,
-    complement_word,
-    cyclic_shift,
     enumerate_code,
     generator_polys,
     is_quasi_cyclic_index4,
     render_code_export,
-    reverse_complement,
-    reverse_word,
     row_to_word,
     validate,
-    word_from_poly,
     word_to_row,
 )
 from z4udna.errors import CapExceeded, InvalidGenerators, LengthMismatch, TrivialCode
@@ -517,46 +520,6 @@ def test_translates_are_symbolwise_sums(case, data):
     assert _key_words(np.unique(np.concatenate(translates)), n) == expected
 
 
-def _multiples(g, n, limit):
-    """{m*g mod x^n - 1 : every multiplier m}, one coefficient of m at a time,
-    or None once the set holds more than ``limit`` words.
-
-    After step i the set holds every sum of m_k x^k g over k <= i, so the
-    last step holds all products m*g without listing the 16^n multipliers.
-    The sets only grow, so a set past ``limit`` means the result is too.
-    """
-    base = word_from_poly(g, n)
-    out = {(RingElem(0),) * n}
-    for i in range(n):
-        shifted = tuple(base[(k - i) % n] for k in range(n))  # x^i * g
-        terms = [tuple(m * c for c in shifted) for m in ALL_ELEMENTS]  # m x^i g
-        step = set()
-        for word in out:
-            step.update(tuple(s + t for s, t in zip(word, term)) for term in terms)
-            if len(step) > limit:
-                return None
-        out = step
-    return out
-
-
-def _ideal_words(gens, limit=1 << 12):
-    """The ideal as the set of all m_a*g_a + m_b*g_b, as in acceptance-09,
-    or None once it is seen to hold more than ``limit`` words."""
-    g_a, g_b = generator_polys(gens)
-    words = _multiples(g_a, gens.n, limit)
-    if words is None or g_b is None:
-        return words
-    others = _multiples(g_b, gens.n, limit)
-    if others is None:
-        return None
-    out = set()
-    for v in words:
-        out.update(tuple(x + y for x, y in zip(v, w)) for w in others)
-        if len(out) > limit:
-            return None
-    return out
-
-
 def _small_instance(n, limit, rng):
     """A random generator tuple of length n whose code has at most ``limit``
     words, with its words; sized by the oracle so that no enumeration, and
@@ -564,7 +527,7 @@ def _small_instance(n, limit, rng):
     lattice = _divisor_lattice(n)
     while True:
         gens = _random_instance(n, 2, lattice, rng)
-        words = _ideal_words(gens, limit)
+        words = ideal_words(gens, limit)
         if words is not None:
             return gens, words
 
@@ -593,7 +556,7 @@ def test_min_distances_match_pairwise_reference(n):
 
 def test_ideal_oracle_matches_acceptance_oracle():
     for gens in (EX_61I, EX_61II, GeneratorSet(3, Poly.parse("3,1"), Poly.parse("1"))):
-        assert _ideal_words(gens) == _oracle_words(gens)
+        assert ideal_words(gens) == all_multiplier_words(gens)
 
 
 @settings(max_examples=10, deadline=None)
@@ -606,7 +569,7 @@ def test_enumerate_matches_oracle_on_small_length7_codes(seed):
 def test_enumerate_matches_oracle_on_wide_rows():
     ones = Poly([1] * 21)
     gens = GeneratorSet(21, ones, ones)
-    assert list(enumerate_code(gens).words()) == _sorted_set(_ideal_words(gens))
+    assert list(enumerate_code(gens).words()) == _sorted_set(ideal_words(gens))
 
 
 # ---------------------------------------------------------------------------

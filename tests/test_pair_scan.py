@@ -1,13 +1,10 @@
 """The codebook pair scans against brute force over ordered pairs.
 
-The references below are the plain definitions: every ordered pair of
+The references are the slow paths of ``oracles``: every ordered pair of
 distinct words for the distances, every ordered pair (x, y) with
-image(x) != y for the constraints, and ring distances by RingElem
-subtraction.  ``row_min`` is a slow path on rows, one table lookup per
-word, that the blocked product of ``dna`` is checked against;
-``per_word_book`` and ``per_line_codebook`` are slow readers, one
-alphabet check per word, that the one-lookup readers of ``dna`` are
-checked against.
+image(x) != y for the constraints, ring distances by RingElem
+subtraction, ``row_min`` for the blocked product of ``dna`` and the
+per-word readers for the one-lookup readers of ``dna``.
 """
 
 import contextlib
@@ -22,6 +19,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import (
+    brute_holds,
+    brute_min,
+    encode,
+    full_image_min,
+    hamming,
+    per_line_codebook,
+    per_word_book,
+    reverse_codons,
+    reverse_complement_codons,
+    ring_distance,
+    row_min,
+)
 from z4udna import dna
 from z4udna.cli import main
 from z4udna.cyclic import GeneratorSet, enumerate_code
@@ -30,92 +40,11 @@ from z4udna.poly import Poly
 from z4udna.ring import ALL_ELEMENTS, RingElem
 
 CODONS = tuple(x.codon() for x in ALL_ELEMENTS)
-IMAGES = {"hamming": lambda w: w, "reverse": dna.reverse_word,
-          "rc": dna.reverse_complement_word}
+IMAGES = {"hamming": lambda w: w, "reverse": reverse_codons,
+          "rc": reverse_complement_codons}
 CONSTRAINTS = {"hamming": dna.check_hamming_constraint,
                "reverse": dna.check_reverse_constraint,
                "rc": dna.check_rc_constraint}
-
-
-def brute_min(words, distance):
-    book = set(words)
-    dists = [distance(x, y) for x in book for y in book if x != y]
-    if not dists:
-        raise TrivialCode("need at least two words")
-    return min(dists)
-
-
-def brute_holds(words, d, image):
-    book = set(words)
-    return all(dna.hamming(image(x), y) >= d
-               for x in book for y in book if image(x) != y)
-
-
-def row_min(rows, table, image=None, floor=0):
-    """Least nonzero score of ``image[i]`` against ``rows[j]``, j >= i, over
-    the rows of a book of distinct words, scoring a pair by the ``table``
-    entries of its letters or symbols summed along the row; None when no
-    score is nonzero.  Returns a score below ``floor`` as soon as one is
-    found.
-
-    ``image`` defaults to ``rows``, giving the least distance over pairs of
-    distinct words.  Otherwise it holds an involution of the rows that
-    preserves distance, so (x, y) scores what (y, x) scores and j >= i
-    covers every ordered pair; a score is zero exactly when image(x) == y.
-    """
-    if image is None:
-        image = rows
-    lows = []
-    for i, x in enumerate(image):
-        scores = table[x, rows[i:]].sum(axis=1)
-        scores = scores[scores > 0]
-        if scores.size:
-            lows.append(int(scores.min()))
-            if lows[-1] < floor:
-                break
-    return min(lows, default=None)
-
-
-def per_word_book(codebook, codons=False):
-    """The letter rows of the sorted distinct words of a book, checking one
-    word at a time: LengthMismatch, then BadAlphabet naming the first
-    sorted bad word, then, with ``codons``, OddLength naming the first
-    sorted word."""
-    if isinstance(codebook, str):
-        raise TypeError("a codebook is a collection of words, not a str")
-    words = sorted(set(codebook))
-    if len({len(w) for w in words}) > 1:
-        raise LengthMismatch("words must share one length")
-    for w in words:
-        if set(w) - set("ACGT"):
-            raise BadAlphabet(f"letters outside ACGT in {w!r}")
-    if codons and words and len(words[0]) % 2:
-        raise OddLength(f"cannot split {words[0]!r} into codons")
-    width = len(words[0]) if words else 0
-    return np.array([["ACGT".index(c) for c in w] for w in words],
-                    np.uint8).reshape(len(words), width)
-
-
-def per_line_codebook(text):
-    """The stripped lines of a codebook file's text, skipping blank lines
-    and '#' comments, checking one line at a time."""
-    words = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if set(line) - set("ACGT"):
-            raise BadAlphabet(f"letters outside ACGT in {line!r}")
-        words.append(line)
-    return words
-
-
-def ring_distance(metric):
-    def distance(x, y):
-        diff = [cx - cy for cx, cy in zip(dna.decode(x), dna.decode(y))]
-        return (sum(1 for c in diff if c) if metric == "hamming"
-                else sum(c.lee_weight() for c in diff))
-    return distance
 
 
 @st.composite
@@ -131,9 +60,9 @@ def codebooks(draw):
     half = codons(n // 2)
     forms = [codons(n),
              st.tuples(half, codons(n % 2)).map(
-                 lambda p: p[0] + p[1] + dna.reverse_word(p[0]))]
+                 lambda p: p[0] + p[1] + reverse_codons(p[0]))]
     if n % 2 == 0:
-        forms.append(half.map(lambda h: h + dna.reverse_complement_word(h)))
+        forms.append(half.map(lambda h: h + reverse_complement_codons(h)))
     word = st.one_of(forms)
     book = []
     for w in draw(st.lists(word, min_size=1, max_size=10)):
@@ -142,9 +71,9 @@ def codebooks(draw):
         if extra == "repeat":
             book.append(w)
         elif extra == "reverse":
-            book.append(dna.reverse_word(w))
+            book.append(reverse_codons(w))
         elif extra == "rc":
-            book.append(dna.reverse_complement_word(w))
+            book.append(reverse_complement_codons(w))
     return draw(st.permutations(book))
 
 
@@ -208,7 +137,7 @@ def test_scan_matches_brute_force(book):
         with pytest.raises(TrivialCode):
             dna.min_letterwise_distance(book)
     else:
-        assert dna.min_letterwise_distance(book) == brute_min(book, dna.hamming)
+        assert dna.min_letterwise_distance(book) == brute_min(book, hamming)
     for name, check in CONSTRAINTS.items():
         for d in range(len(book[0]) + 2):
             assert check(book, d) == brute_holds(book, d, IMAGES[name]), (name, d)
@@ -242,7 +171,7 @@ def test_letterwise_distance_of_raw_words(book):
         with pytest.raises(TrivialCode):
             dna.min_letterwise_distance(book)
     else:
-        assert dna.min_letterwise_distance(book) == brute_min(book, dna.hamming)
+        assert dna.min_letterwise_distance(book) == brute_min(book, hamming)
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,7 +233,7 @@ DISTANCES = {
     "hamming": lambda book: dna.min_ring_distance(book, "hamming"),
     "lee": lambda book: dna.min_ring_distance(book, "lee"),
 }
-PAIR_DISTANCES = {"dna": dna.hamming, "hamming": ring_distance("hamming"),
+PAIR_DISTANCES = {"dna": hamming, "hamming": ring_distance("hamming"),
                   "lee": ring_distance("lee")}
 
 
@@ -402,7 +331,7 @@ def test_constraints_across_blocks_match_brute_force(book, data):
     with mock.patch.object(dna, "_BLOCK_ENTRIES", entries):
         for name, check in CONSTRAINTS.items():
             image = IMAGES[name]
-            dists = [dna.hamming(image(x), y) for x in set(book) for y in set(book)
+            dists = [hamming(image(x), y) for x in set(book) for y in set(book)
                      if image(x) != y]
             bounds = (range(min(dists) - 1, min(dists) + 2) if dists
                       else range(len(book[0]) + 2))
@@ -442,7 +371,7 @@ def test_a_valid_book_is_checked_in_one_lookup(tmp_path):
 
 
 def n63_word(symbol):
-    return dna.encode((symbol,) * 63)
+    return encode((symbol,) * 63)
 
 
 LEE_4 = RingElem(0, 2)
@@ -470,19 +399,6 @@ def test_distance_product_of_the_widest_words(metric, book, expected):
         assert DISTANCES[metric](book) == row_min(rows, table) == expected
 
 
-def full_image_min(words, image):
-    """Least letterwise distance from image(x) to y over all m x m ordered
-    pairs of a book, skipping image(x) == y: one broadcast comparison of the
-    raw ASCII bytes."""
-    m, width = len(words), len(words[0])
-
-    def ascii_rows(ws):
-        return np.frombuffer("".join(ws).encode("ascii"), np.uint8).reshape(m, width)
-
-    dists = (ascii_rows(map(image, words))[:, None] != ascii_rows(words)[None]).sum(axis=2)
-    return int(dists[dists > 0].min())
-
-
 @pytest.mark.parametrize("f1, size, distances", [
     ("1,1,1,1,1,1,1", 1024, {"hamming": 3, "reverse": 1, "rc": 1}),
     ("3,0,0,0,0,0,0,1", 256, {"hamming": 3, "reverse": 1, "rc": 7}),
@@ -503,8 +419,8 @@ def test_constraints_of_n7_codes_at_their_bounds(f1, size, distances):
     [],
     ["ACGTAC"],
     ["AAAT"],
-    ["AACG", dna.reverse_word("AACG")],
-    ["AACG", dna.reverse_complement_word("AACG")],
+    ["AACG", reverse_codons("AACG")],
+    ["AACG", reverse_complement_codons("AACG")],
 ], ids=["empty", "palindrome", "self-distance-2", "with-reverse", "with-rc"])
 def test_constraint_edge_cases_match_brute_force(book):
     """An empty book; one word that is its own codon reversal; one word at
@@ -632,23 +548,6 @@ def test_row_min_contract(book, image_name, floor, data):
             assert true <= result < floor
         else:
             assert result == true
-
-
-def test_reverse_word_checks_letters_first():
-    """As reverse_complement_word and letterwise_complement do: a letter
-    outside ACGT is BadAlphabet, also in a word of odd length."""
-    for word in ("AXGT", "AXG"):
-        with pytest.raises(BadAlphabet, match=repr(word)):
-            dna.reverse_word(word)
-    with pytest.raises(OddLength, match="'ACG'"):
-        dna.reverse_word("ACG")
-
-
-def test_reverse_complement_word_checks_letters_first():
-    with pytest.raises(BadAlphabet, match="'AXT'"):
-        dna.reverse_complement_word("AXT")
-    with pytest.raises(OddLength, match="'ACG'"):
-        dna.reverse_complement_word("ACG")
 
 
 def test_ring_tables_match_ring_arithmetic():

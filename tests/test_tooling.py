@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = ROOT / "tests"
 
 FAILING_HYPOTHESIS_TEST = '''
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,45 @@ def test_only_enumerate_code_builds_a_code():
     calls = [call for tree in trees.values() for call in _calls_of(tree, "Code")]
     calls += _calls_of(code_class, "cls")
     assert len(calls) == 1 and calls[0] in list(ast.walk(builder))
+
+
+def _test_trees():
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(TESTS.glob("*.py"))}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield node.lineno, node.module or ""
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
+def test_no_test_module_imports_another():
+    # Shared slow paths live in oracles.py, not in a test module.
+    found = [f"{name}:{line}" for name, tree in _test_trees().items()
+             for line, module in _imported_modules(tree) if module.startswith("test_")]
+    assert found == []
+
+
+def test_every_oracle_is_used_by_a_test_module():
+    # An oracle that no test compares a fast path against cannot linger:
+    # each top-level function of oracles.py is named by some test module,
+    # imported from oracles or as an attribute of it.
+    trees = _test_trees()
+    oracles = {node.name for node in trees.pop("oracles.py").body
+               if isinstance(node, ast.FunctionDef)}
+    used = set()
+    for tree in trees.values():
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                    for alias in node.names}
+        used |= {imported[node.id] for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id in imported}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "oracles"}
+    assert oracles and sorted(oracles - used) == []
 
 
 def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):

@@ -3,7 +3,6 @@
 Run:  python3 demos/03_length7_lifts.py
 """
 
-from z4udna import dna
 from z4udna.conditions import check_rc_single
 from z4udna.cyclic import GeneratorSet, enumerate_code, is_quasi_cyclic_index4
 from z4udna.poly import (

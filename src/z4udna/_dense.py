@@ -14,12 +14,8 @@ so packed words add lane-wise with no table and no unpacking
 (``_add_keys``), under lane masks of the key's own type and width.  The
 same arithmetic serves both key types; nothing else depends on the width.
 
-The word maps of the closure predicates work on keys too.  The cyclic
-shift is a 4-bit rotation, ``(k >> 4) | ((k & 15) << 4(n-1))``.  The
-complement (1+u) - x is ``k ^ low``, since 1 - v = v xor 1 in each Z4
-lane.  Reversal goes through rows at every width.  RC is the reverse of
-the complement.  A map permutes words, so a set is closed under it iff
-the sorted image keys equal the keys (``same_set``).
+The cyclic shift of ``Code.is_shift_closed`` works on keys too: it is a
+4-bit rotation, ``(k >> 4) | ((k & 15) << 4(n-1))``.
 
 ``span_closure`` grows a set S one vector v at a time: S + Rv is the
 union of the cosets S + d over the distinct multiples d of v, and a
@@ -86,33 +82,9 @@ def has_key(keys: np.ndarray, key) -> bool:
     return bool(i < keys.size and keys[i] == key)
 
 
-def same_set(keys: np.ndarray, image_keys: np.ndarray) -> bool:
-    """Whether ``image_keys`` pack exactly the words of sorted ``keys``.
-
-    ``image_keys`` must be the image of the set under a map that permutes
-    words (roll, reverse, complement, RC), so they are distinct and as
-    many as the set's; sorting them is then enough, with no deduplication.
-    """
-    return np.array_equal(keys, np.sort(image_keys))
-
-
 def roll_keys(keys: np.ndarray, width: int) -> np.ndarray:
     """Right cyclic shift by one symbol: the last nibble moves to the top."""
     return (keys >> 4) | ((keys & 15) << (4 * (width - 1)))
-
-
-def reverse_keys(keys: np.ndarray, width: int) -> np.ndarray:
-    """Each word read backwards."""
-    return pack(unpack(keys, width)[:, ::-1])
-
-
-def complement_keys(keys: np.ndarray, width: int) -> np.ndarray:
-    """(1+u) - x symbolwise: 1 - v in each Z4 lane, which is v xor 1."""
-    return keys ^ _key_type(width)[1]
-
-
-def rc_keys(keys: np.ndarray, width: int) -> np.ndarray:
-    return reverse_keys(complement_keys(keys, width), width)
 
 
 def span_closure(vectors, cap: int) -> np.ndarray:

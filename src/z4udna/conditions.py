@@ -18,9 +18,10 @@ Four named condition sets are evaluated on a generator tuple:
 Equalities are tested literally after reduction mod x^n - 1; when a
 condition fails literally but holds up to a unit factor, that is recorded
 as an informational note, not as success.  The cross-validation harness
-compares each prediction against brute-force closure of the enumerated
-code, and any disagreement is surfaced as a named erratum record instead
-of being absorbed.
+compares each prediction with the closure predicates of the enumerated
+code (``Code.is_reversible``, ``Code.is_rc_closed``, which test the code's
+generators for membership), and any disagreement is surfaced as a named
+erratum record instead of being absorbed.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def check_rc_double(gens: GeneratorSet) -> ConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# Cross-validation against brute force
+# Cross-validation against the enumerated code
 # ---------------------------------------------------------------------------
 
 _FIELDS = ("n", "f1", "f2", "f14", "f3", "f4")
@@ -217,7 +218,7 @@ def _crossval_with_code(gens: GeneratorSet, prop: str, code: Code) -> CrossValRe
 
 def cross_validate(gens: GeneratorSet, prop: str,
                    cap: int = DEFAULT_CAP) -> CrossValReport:
-    """Compare the symbolic prediction with brute-force closure checking."""
+    """Compare the symbolic prediction with the closure of the enumerated code."""
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
     return _crossval_with_code(gens, prop, enumerate_code(gens, cap))

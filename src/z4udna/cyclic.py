@@ -35,6 +35,11 @@ CodeWord = tuple[RingElem, ...]
 _SYMBOL_TEXT = {"ring": TEXT, "dna": CODON, "gray": GRAY}
 
 
+def _poly_row(g: Poly, n: int) -> np.ndarray:
+    """The word of a polynomial already reduced mod x^n - 1."""
+    return np.frombuffer(g.symbols.ljust(n, b"\0"), dtype=np.uint8)
+
+
 def word_to_row(w: CodeWord) -> np.ndarray:
     return np.array([c.index for c in w], dtype=np.uint8)
 
@@ -125,10 +130,14 @@ class Code:
     order is the lexicographic order of the rows, which is the order by
     the (a, b) pairs of the symbols, so words and exports, unpacked from
     the keys, are deterministic and diffable.  Membership is a binary
-    search in the keys.  The closure predicates check the stored set
-    exhaustively (``is_dna_code`` takes shift closure from the ideal):
-    each maps the keys and compares the sorted image with them, so rows
-    are unpacked only for words, exports and distances.
+    search in the keys; rows are unpacked only for words, exports and
+    distances.  Only ``is_shift_closed``, the guard of ``enumerate_code``,
+    checks the whole set.  The other closure predicates ask the ideal's
+    generators: reversal maps x^i*g to x^-i*rev(g), so the code is
+    reversible iff each reversed generator is a word (Massey, *Reversible
+    codes*, 1964, for fields).  The complement of w is c - w, c the
+    all-(1+u) word, so the code is complement-closed iff c is a word, and
+    RC-closed iff both hold.
     """
 
     def __init__(self, n: int, keys: np.ndarray, generators: tuple[Poly, ...]):
@@ -140,8 +149,10 @@ class Code:
         return self._keys.size
 
     def __contains__(self, w: CodeWord) -> bool:
-        return len(w) == self.n and _dense.has_key(
-            self._keys, _dense.pack(word_to_row(w).reshape(1, -1))[0])
+        return len(w) == self.n and self._has_row(word_to_row(w))
+
+    def _has_row(self, row: np.ndarray) -> bool:
+        return _dense.has_key(self._keys, _dense.pack(row.reshape(1, -1))[0])
 
     def _rows(self) -> np.ndarray:
         return _dense.unpack(self._keys, self.n)
@@ -152,26 +163,39 @@ class Code:
             yield row_to_word(row)
 
     # -- closure predicates -------------------------------------------------
+    # The public predicates are traced, so each reaches its lookups through
+    # the private helpers below, never through another public predicate.
 
     def is_shift_closed(self) -> bool:
-        return _dense.same_set(self._keys, _dense.roll_keys(self._keys, self.n))
+        # a roll permutes words, so the set is closed under it iff the
+        # sorted rolled keys are the keys
+        return np.array_equal(self._keys, np.sort(_dense.roll_keys(self._keys, self.n)))
 
     def is_reversible(self) -> bool:
-        return _dense.same_set(self._keys, _dense.reverse_keys(self._keys, self.n))
+        return self._reversible()
 
     def is_complement_closed(self) -> bool:
-        return _dense.same_set(self._keys, _dense.complement_keys(self._keys, self.n))
+        return self._complement_closed()
 
     def is_rc_closed(self) -> bool:
-        return _dense.same_set(self._keys, _dense.rc_keys(self._keys, self.n))
+        return self._rc_closed()
 
     def is_dna_code(self) -> bool:
         """Closed under reverse-complement, with no word equal to its own
-        reverse-complement; an ideal is shift-closed already."""
-        rc = _dense.rc_keys(self._keys, self.n)
-        if (rc == self._keys).any():
-            return False
-        return _dense.same_set(self._keys, rc)
+        reverse-complement: exactly ``is_rc_closed``, since n is odd.  The
+        middle symbol x of such a word would have (1+u) - x = x, that is
+        2x = 1+u, and 2x has an even Z4 part."""
+        return self._rc_closed()
+
+    def _reversible(self) -> bool:
+        return all(self._has_row(_poly_row(g, self.n)[::-1]) for g in self.generators)
+
+    def _complement_closed(self) -> bool:
+        return self._has_row(np.full(self.n, 5, dtype=np.uint8))  # all 1+u
+
+    def _rc_closed(self) -> bool:
+        # rc(w) = c - reverse(w), and c is its own reverse
+        return self._complement_closed() and self._reversible()
 
     # -- distances ------------------------------------------------------------
 
@@ -220,12 +244,11 @@ def enumerate_code(gens: GeneratorSet, cap: int = DEFAULT_CAP) -> Code:
     generators = tuple(g for g in generator_polys(gens) if g is not None)
     n = gens.n
     shifts = (np.arange(n) - np.arange(n)[:, None]) % n  # row i: x^i * g, g rolled by i
-    vectors = [np.frombuffer(g.symbols.ljust(n, b"\0"), dtype=np.uint8)[shifts]
-               for g in generators]
+    vectors = [_poly_row(g, n)[shifts] for g in generators]
     code = Code(n, _dense.span_closure(np.concatenate(vectors), cap), generators)
     # spanning all n shifts of each generator makes the result an ideal,
-    # which the distances and is_dna_code rely on; fail loudly if that
-    # ever stops being true
+    # which the distances and the reversal, complement and RC predicates
+    # rely on; fail loudly if that ever stops being true
     if not code.is_shift_closed():
         raise RuntimeError("span closure returned a set that is not shift-closed")
     return code

@@ -17,11 +17,11 @@ are stated once, as 16-entry tuples over that index:
   of ``a + u*b``, from the 2-adic digits c = alpha + 2*beta and gamma =
   alpha + beta mod 2; it carries the Lee metric to the Hamming metric.
 
-``RingElem``'s arithmetic, ``complement`` and ``lee_weight`` (of the Z4
-pair ``(b, a+b)``) stay on their (a, b) formulas, not on the index tables
-``ADD``, ``MUL``, ``COMPLEMENT`` and ``LEE``: the tests use them as the
-independent reference for those tables; ``tests/oracles.py`` holds the
-one for ``INV``.
+``RingElem``'s arithmetic and ``lee_weight`` (of the Z4 pair
+``(b, a+b)``) stay on their (a, b) formulas, not on the index tables
+``ADD``, ``MUL`` and ``LEE``: the tests use them as the independent
+reference for those tables; ``tests/oracles.py`` holds the one for
+``INV``.
 
 No element equals its own complement (2x = 1+u has no solution), which is
 what makes length-preserving reverse-complement codes possible at all.
@@ -173,8 +173,7 @@ NEG = bytes(-(k >> 2) % 4 * 4 + -k % 4 for k in range(16)) * 16
 # INV[x] is the index of 1/x for a unit x (x & 4, an odd Z4 part) and 0 for
 # a non-unit; 0 is never an inverse, so it doubles as "no inverse".
 INV = bytes(MUL.index(4, 16 * x, 16 * x + 16) % 16 if x & 4 else 0 for x in range(16))
-# COMPLEMENT[x] is the index of (1+u) - x and LEE[x] the Lee weight of x.
-COMPLEMENT = bytes((1 - (k >> 2)) % 4 * 4 + (1 - k) % 4 for k in range(16))
+# LEE[x] is the Lee weight of x.
 LEE = bytes(LEE_Z4[k & 3] + LEE_Z4[((k >> 2) + k) % 4] for k in range(16))
 
 

@@ -38,18 +38,29 @@ def cyclic_shift(w):
 
 
 def reverse_word(w):
-    """Checks ``_dense.reverse_keys``."""
+    """Checks ``Code.is_reversible``, through ``closed_under``: the word
+    read backwards."""
     return tuple(reversed(w))
 
 
 def complement_word(w):
-    """Checks ``_dense.complement_keys``: (1+u) - c symbolwise."""
+    """Checks ``Code.is_complement_closed``, through ``closed_under``:
+    (1+u) - c symbolwise."""
     return tuple(c.complement() for c in w)
 
 
 def reverse_complement(w):
-    """Checks ``_dense.rc_keys``."""
+    """Checks ``Code.is_rc_closed`` and ``Code.is_dna_code``, through
+    ``closed_under``: the complement of the word read backwards."""
     return tuple(c.complement() for c in reversed(w))
+
+
+def closed_under(words, word_map):
+    """Checks ``Code.is_reversible``, ``is_complement_closed``,
+    ``is_rc_closed`` and ``is_dna_code`` against the whole word set: whether
+    ``word_map`` sends every word of the set into the set."""
+    pool = set(words)
+    return all(word_map(w) in pool for w in pool)
 
 
 def word_from_poly(f, n):

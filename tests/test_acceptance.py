@@ -12,12 +12,7 @@ import time
 
 from oracles import all_multiplier_words, letterwise_complement
 from z4udna import dna
-from z4udna.conditions import (
-    check_rc_single,
-    check_reversible_double,
-    check_reversible_single,
-    sweep,
-)
+from z4udna.conditions import check_rc_single, sweep
 from z4udna.cyclic import (
     GeneratorSet,
     enumerate_code,
@@ -28,7 +23,6 @@ from z4udna.poly import (
     divides,
     factor_xn_minus_1_z4,
     reciprocal,
-    xn_minus_1,
 )
 from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     all_multiplier_words,
+    closed_under,
     complement_word,
     cyclic_shift,
     ideal_words,
@@ -18,8 +19,9 @@ from oracles import (
     word_from_poly,
 )
 from z4udna import _dense, dna
-from z4udna.conditions import _divisor_lattice, _random_instance
+from z4udna.conditions import _divisor_lattice, _exhaustive_instances, _random_instance
 from z4udna.cyclic import (
+    Code,
     GeneratorSet,
     enumerate_code,
     generator_polys,
@@ -31,7 +33,7 @@ from z4udna.cyclic import (
 )
 from z4udna.errors import CapExceeded, InvalidGenerators, LengthMismatch, TrivialCode
 from z4udna.poly import Poly, divides, factor_xn_minus_1_z4, poly_divmod, xn_minus_1
-from z4udna.ring import ADD, ALL_ELEMENTS, COMPLEMENT, GRAY, RingElem
+from z4udna.ring import ADD, ALL_ELEMENTS, GRAY, RingElem
 
 R = RingElem
 G2_3 = Poly.parse("1,1,1")
@@ -419,7 +421,7 @@ def _sorted_set(words):
     return sorted(set(words), key=lambda w: [(c.a, c.b) for c in w])
 
 
-# Word maps on symbol rows: the reference for the key maps of _dense.
+# Word maps on symbol rows, checked against the word maps of oracles.
 
 def roll_rows(rows, shift=1):
     """Cyclic shift by ``shift`` symbols (right rotation for +1)."""
@@ -430,7 +432,7 @@ def reverse_rows(rows):
     return rows[:, ::-1]
 
 
-_COMPLEMENT = np.frombuffer(COMPLEMENT, dtype=np.uint8)
+_COMPLEMENT = np.array([x.complement().index for x in ALL_ELEMENTS], dtype=np.uint8)
 
 
 def complement_rows(rows):
@@ -469,9 +471,6 @@ KEY_LENGTHS = LENGTHS + (80,)
 
 _KEY_MAPS = {
     "roll": (_dense.roll_keys, cyclic_shift),
-    "reverse": (_dense.reverse_keys, reverse_word),
-    "complement": (_dense.complement_keys, complement_word),
-    "rc": (_dense.rc_keys, reverse_complement),
 }
 
 
@@ -573,6 +572,86 @@ def test_enumerate_matches_oracle_on_wide_rows():
 
 
 # ---------------------------------------------------------------------------
+# Closure predicates, answered from the generators, against the word set
+# ---------------------------------------------------------------------------
+
+def _closure_answers(words, reverse, complement, rc):
+    """What each closure predicate of Code must answer on the whole word
+    set, given the set's three word maps."""
+    rc_closed = closed_under(words, rc)
+    return {"is_reversible": closed_under(words, reverse),
+            "is_complement_closed": closed_under(words, complement),
+            "is_rc_closed": rc_closed,
+            "is_dna_code": rc_closed and all(rc(w) != w for w in words)}
+
+
+def _mismatches(code, answers):
+    return [name for name, answer in answers.items() if getattr(code, name)() != answer]
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from((3, 5, 7, 9)), st.integers(0, 2**32 - 1))
+def test_closure_predicates_match_the_word_set(n, seed):
+    gens, words = _small_instance(n, 64, random.Random(seed))
+    answers = _closure_answers(words, reverse_word, complement_word, reverse_complement)
+    assert _mismatches(enumerate_code(gens), answers) == []
+
+
+def _row_bytes(rows):
+    """Each row as one bytes word."""
+    data, n = np.ascontiguousarray(rows).tobytes(), rows.shape[1]
+    return [data[i:i + n] for i in range(0, len(data), n)]
+
+
+def test_closure_predicates_match_row_maps_on_the_length3_lattice():
+    # all 1440 tuples at n = 3 with f14 of degree <= 1, codes of 1 to 4096
+    # words, each word set mapped whole by the row maps
+    mismatches, seen = [], set()
+    for gens in _exhaustive_instances(3, 1):
+        code = enumerate_code(gens)
+        rows = code._rows()
+        words = _row_bytes(rows)
+        maps = [dict(zip(words, _row_bytes(row_map(rows)))).__getitem__
+                for row_map in (reverse_rows, complement_rows, rc_rows)]
+        answers = _closure_answers(words, *maps)
+        mismatches += [(gens, name) for name in _mismatches(code, answers)]
+        seen.add(tuple(answers.values()))
+    assert mismatches == []
+    # every code of length 3 is reversible; the other predicates answer
+    # both ways
+    assert {answers[0] for answers in seen} == {True}
+    assert all(len(set(column)) == 2 for column in list(zip(*seen))[1:])
+
+
+@pytest.mark.parametrize("gens, holds", [
+    (GeneratorSet(21, Poly([1] * 21), Poly([1] * 21)), True),
+    (GeneratorSet(73, Poly([1] * 73), Poly([1] * 73)), True),
+    # a 16-word code with a generator whose reversal is not a word
+    (GeneratorSet(7, xn_minus_1(7), xn_minus_1(7), Poly(), xn_minus_1(7),
+                  Poly.parse("3,1,2,1")), False),
+], ids=["n21-constant", "n73-constant", "n7-not-reversible"])
+def test_closure_predicates_match_the_word_set_on_named_codes(gens, holds):
+    answers = _closure_answers(ideal_words(gens), reverse_word, complement_word,
+                               reverse_complement)
+    assert answers["is_reversible"] == holds
+    assert _mismatches(enumerate_code(gens), answers) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_no_odd_length_word_is_its_own_reverse_complement(data):
+    # a word of length 2k + 1 whose last k symbols mirror its first k is as
+    # near as one gets: its middle symbol x would still need (1+u) - x = x,
+    # that is 2x = 1+u, and 2x has an even Z4 part
+    k = data.draw(st.integers(0, 20))
+    half = st.lists(elements, min_size=k, max_size=k).map(tuple)
+    left, middle = data.draw(half), data.draw(elements)
+    right = data.draw(st.one_of(st.just(reverse_complement(left)), half))
+    word = left + (middle,) + right
+    assert reverse_complement(word) != word
+
+
+# ---------------------------------------------------------------------------
 # Packed-key kernels of _dense against row arithmetic, at every key width
 # ---------------------------------------------------------------------------
 
@@ -604,25 +683,20 @@ def test_key_addition_is_symbolwise_ring_addition(case):
     assert np.array_equal(_dense.unpack(keys, d.size), _ADD16[rows, d])
 
 
-_KEY_MAP_FUNCTIONS = tuple(key_map for key_map, _ in _KEY_MAPS.values())
-
-
 @settings(max_examples=80, deadline=None)
-@given(rows_and_delta(), st.sampled_from(_KEY_MAP_FUNCTIONS))
-def test_same_set_agrees_with_canonical_comparison(case, key_map):
+@given(rows_and_delta())
+def test_shift_closure_agrees_with_set_comparison(case):
     rows, _ = case
     width = rows.shape[1]
-    # the union of all images is closed under the map, so both answers occur
+    # the union of all rolls is shift-closed, so both answers occur
     closed = np.unique(_dense.pack(rows))
     for _ in range(width):
-        closed = np.union1d(closed, key_map(closed, width))
+        closed = np.union1d(closed, _dense.roll_keys(closed, width))
     for keys in (np.unique(_dense.pack(rows)), closed):
-        image = key_map(keys, width)
-        assert _dense.same_set(keys, image) == np.array_equal(keys, np.unique(image))
         as_rows = set(map(bytes, _dense.unpack(keys, width)))
-        assert _dense.same_set(keys, image) == (
-            as_rows == set(map(bytes, _dense.unpack(image, width))))
-    assert _dense.same_set(closed, key_map(closed, width))
+        rolled = set(map(bytes, roll_rows(_dense.unpack(keys, width))))
+        assert Code(width, keys, ()).is_shift_closed() == (as_rows == rolled)
+    assert Code(width, closed, ()).is_shift_closed()
 
 
 @settings(max_examples=15, deadline=None)

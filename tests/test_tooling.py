@@ -87,6 +87,34 @@ def test_every_oracle_is_used_by_a_test_module():
     assert oracles and sorted(oracles - used) == []
 
 
+def _unused_imports(path):
+    """The names a module imports and never reads, as "file:line name",
+    skipping imports marked ``# noqa: F401``."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [(alias, alias.asname or alias.name.partition(".")[0])
+                     for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [(alias, alias.asname or alias.name) for alias in node.names]
+        else:
+            continue
+        yield from (f"{path.relative_to(ROOT)}:{alias.lineno} {name}"
+                    for alias, name in bound
+                    if name not in read and "# noqa: F401" not in lines[alias.lineno - 1])
+
+
+def test_every_imported_name_is_used():
+    # Package __init__ modules import to re-export, so they are left out.
+    paths = [path for folder in ("src/z4udna", "tests", "demos")
+             for path in sorted((ROOT / folder).glob("*.py")) if path.name != "__init__.py"]
+    assert paths
+    assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
 def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     # Under the repository's pytest config a failing hypothesis test must
     # fail on its own (exit 1), not abort the session with INTERNALERROR.

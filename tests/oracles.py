@@ -6,7 +6,8 @@ the fast path it checks.  None is called by the package.  Two reference
 checkers keep their own modules because each is the whole subject of one:
 ``tests/test_poly_reference.py`` (``Poly`` arithmetic against coefficient
 lists of ``RingElem``s) and ``tests/test_conditions_reference.py`` (T31-T42
-reports against a constant-by-constant search).
+reports against a constant-by-constant search).  The coefficient-list
+division lives here, as ``cyclic.validate`` is checked against it too.
 """
 
 import itertools
@@ -14,7 +15,13 @@ import itertools
 import numpy as np
 
 from z4udna.cyclic import generator_polys
-from z4udna.errors import BadAlphabet, LengthMismatch, OddLength, TrivialCode
+from z4udna.errors import (
+    BadAlphabet,
+    LengthMismatch,
+    NonUnitLeadingCoefficient,
+    OddLength,
+    TrivialCode,
+)
 from z4udna.ring import ALL_ELEMENTS, CODON, RingElem
 
 _WCC = {"A": "T", "C": "G", "G": "C", "T": "A"}
@@ -151,6 +158,55 @@ def all_multiplier_words(gens):
             continue  # its whole translate is already covered
         result |= {tuple(a + s for a, s in zip(word, shift)) for word in combined}
     return result
+
+
+# ---------------------------------------------------------------------------
+# Polynomials as coefficient lists of RingElem, lowest degree first
+# ---------------------------------------------------------------------------
+
+def trim(cs):
+    """Checks the canonical form of ``Poly``: the coefficients as a tuple,
+    trailing zeros dropped."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_mod(f, n):
+    """Checks ``poly.poly_mod_xn``: coefficient k added onto k mod n."""
+    out = [RingElem(0)] * n
+    for k, c in enumerate(f):
+        out[k % n] = out[k % n] + c
+    return trim(out)
+
+
+def ref_divmod(f, g):
+    """Checks ``poly.poly_divmod`` and the remainder kernel under it:
+    schoolbook long division by the inverse of the leading coefficient,
+    every coefficient of g subtracted at every step; NonUnitLeadingCoefficient
+    for a zero g or a non-unit leading coefficient, before anything else."""
+    f, g = trim(f), trim(g)
+    if not g or not g[-1].is_unit():
+        raise NonUnitLeadingCoefficient("reference")
+    inv = inverse(g[-1])
+    rem = list(f)
+    q = [RingElem(0)] * max(len(f) - len(g) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + len(g) - 1] * inv
+        q[k] = c
+        for i, y in enumerate(g):
+            rem[k + i] = rem[k + i] - c * y
+    return trim(q), trim(rem)
+
+
+def ref_divides(g, f, n):
+    """Checks ``poly.divides``: the remainder of f mod x^n - 1 by g mod
+    x^n - 1 is zero; a g that reduces to zero divides only a zero f."""
+    fr, gr = ref_mod(f, n), ref_mod(g, n)
+    if not gr:
+        return not fr
+    return not ref_divmod(fr, gr)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Generator validation, enumeration, closure properties and exports."""
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from oracles import (
     complement_word,
     cyclic_shift,
     ideal_words,
+    ref_divmod,
     reverse_complement,
     reverse_word,
     word_from_poly,
@@ -98,6 +100,71 @@ def test_validate_divides_the_chain_literally():
             "f4 does not divide f3"]
     assert validate(GeneratorSet(3, x3, x3)) == []
     assert validate(GeneratorSet(3, x3, G2_3, Poly(), x3, Poly.parse("3,1"))) == []
+
+
+@functools.cache
+def lattice(n):
+    return _divisor_lattice(n)
+
+
+def ref_problems(gens):
+    """What ``validate`` lists for a tuple of odd length, with every
+    division made by ``ref_divmod`` on coefficient lists."""
+    n, one = gens.n, R(1)
+    modulus = (R(3),) + (R(0),) * (n - 1) + (one,)
+    problems = []
+
+    def chain(small, big):
+        low, high = getattr(gens, small).coeffs, getattr(gens, big).coeffs
+        problems.extend(f"{name} must be monic" for name, f in ((small, low), (big, high))
+                        if f[-1:] != (one,))
+        if high[-1:] == (one,) and ref_divmod(modulus, high)[1]:
+            problems.append(f"{big} does not divide x^{n}-1")
+        if low[-1:] == (one,) and ref_divmod(high, low)[1]:
+            problems.append(f"{small} does not divide {big}")
+
+    chain("f2", "f1")
+    if (gens.f3 is None) != (gens.f4 is None):
+        problems.append("f3 and f4 must be given together")
+    elif gens.f3 is not None:
+        chain("f4", "f3")
+    if not gens.f14.is_zero and gens.f14.degree >= n:
+        problems.append("f14 must have degree < n")
+    return problems
+
+
+@st.composite
+def lattice_chain(draw, n):
+    """A chain small | big | x^n - 1 from the divisor lattice, either
+    polynomial sometimes perturbed by one term c*x^k, k <= its degree, so
+    that it may not divide, or may not be monic."""
+    divisors = lattice(n)
+    big = draw(st.integers(0, len(divisors) - 1))
+    small = big & draw(st.integers(0, len(divisors) - 1))
+
+    def perturbed(f):
+        k = draw(st.integers(0, f.degree))
+        term = Poly([draw(st.sampled_from(ALL_ELEMENTS))]).shift(k)
+        return draw(st.sampled_from((f, f + term)))
+
+    return perturbed(divisors[small]), perturbed(divisors[big])
+
+
+@st.composite
+def lattice_tuples(draw):
+    n = draw(st.sampled_from((7, 15, 21, 63)))
+    f2, f1 = draw(lattice_chain(n))
+    f14 = Poly(draw(st.lists(st.sampled_from(ALL_ELEMENTS), max_size=n + 1)))
+    f4, f3 = draw(st.sampled_from(((None, None), draw(lattice_chain(n)))))
+    if draw(st.booleans()) and f3 is not None:  # a lone f3 or f4
+        f3, f4 = draw(st.sampled_from(((f3, None), (None, f4))))
+    return GeneratorSet(n, f1, f2, f14, f3, f4)
+
+
+@settings(deadline=None)
+@given(lattice_tuples())
+def test_validate_matches_reference_division_on_lattice_chains(gens):
+    assert validate(gens) == ref_problems(gens)
 
 
 @pytest.mark.parametrize("fields, problems", [

@@ -7,7 +7,7 @@ first, with the ring's own operators and nothing from ``z4udna.poly``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import inverse
+from oracles import ref_divides, ref_divmod, ref_mod, trim
 from z4udna.conditions import (
     check_rc_single,
     check_reversible_double,
@@ -44,13 +44,6 @@ any_lists = st.one_of(coeff_lists, palindromes, unit_lc_lists, non_unit_lc_lists
                       zero_constant_lists)
 
 
-def trim(cs):
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
 def ref_add(f, g):
     size = max(len(f), len(g))
     f = list(f) + [ZERO] * (size - len(f))
@@ -64,35 +57,6 @@ def ref_mul(f, g):
         for j, y in enumerate(g):
             out[i + j] = out[i + j] + x * y
     return trim(out)
-
-
-def ref_mod(f, n):
-    out = [ZERO] * n
-    for k, c in enumerate(f):
-        out[k % n] = out[k % n] + c
-    return trim(out)
-
-
-def ref_divmod(f, g):
-    f, g = trim(f), trim(g)
-    if not g or not g[-1].is_unit():
-        raise NonUnitLeadingCoefficient("reference")
-    inv = inverse(g[-1])
-    rem = list(f)
-    q = [ZERO] * max(len(f) - len(g) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = rem[k + len(g) - 1] * inv
-        q[k] = c
-        for i, y in enumerate(g):
-            rem[k + i] = rem[k + i] - c * y
-    return trim(q), trim(rem)
-
-
-def ref_divides(g, f, n):
-    fr, gr = ref_mod(f, n), ref_mod(g, n)
-    if not gr:
-        return not fr
-    return not ref_divmod(fr, gr)[1]
 
 
 def ref_reciprocal(f):
@@ -112,6 +76,10 @@ def outcome(fn, *args):
         return fn(*args)
     except (NonUnitLeadingCoefficient, ZeroPolynomial) as exc:
         return type(exc)
+
+
+def divmod_outcome(f, g):
+    return outcome(lambda: tuple(p.coeffs for p in poly_divmod(Poly(f), Poly(g))))
 
 
 @given(st.lists(st.one_of(elems, st.integers(-20, 20)), max_size=10))
@@ -173,13 +141,41 @@ def test_mod_xn(f, n):
 
 @given(coeff_lists, st.one_of(unit_lc_lists, coeff_lists))
 def test_divmod(f, g):
-    got = outcome(lambda: tuple(p.coeffs for p in poly_divmod(Poly(f), Poly(g))))
-    assert got == outcome(ref_divmod, f, g)
+    assert divmod_outcome(f, g) == outcome(ref_divmod, f, g)
 
 
-@given(st.one_of(unit_lc_lists, coeff_lists), coeff_lists, st.integers(1, 6))
+@settings(deadline=None)
+@given(st.one_of(unit_lc_lists, coeff_lists, long_lists), st.one_of(coeff_lists, long_lists),
+       st.one_of(st.integers(1, 6), st.sampled_from((7, 15, 21, 63))))
 def test_divides(g, f, n):
     assert outcome(divides, Poly(g), Poly(f), n) == outcome(ref_divides, g, f, n)
+
+
+@pytest.mark.parametrize("lead", UNITS)
+@settings(deadline=None, max_examples=25)
+@given(long_lists, st.lists(elems, max_size=70))
+def test_divmod_at_lattice_lengths(lead, f, low):
+    """Dividends of up to 140 coefficients by divisors of up to 71 led by
+    each unit, by the divisor's degree-0 lead alone, and a dividend cut
+    shorter than the divisor."""
+    g = low + [lead]
+    for dividend, divisor in ((f, g), (f, [lead]), (f[:len(low)], g)):
+        assert divmod_outcome(dividend, divisor) == outcome(ref_divmod, dividend, divisor)
+
+
+def test_division_errors_come_before_the_short_dividend():
+    """A zero divisor, then a non-unit leading coefficient, raises even
+    when the dividend is shorter than the divisor, with the same texts."""
+    for f in (Poly(), Poly([1])):
+        with pytest.raises(NonUnitLeadingCoefficient) as zero:
+            poly_divmod(f, Poly())
+        assert str(zero.value) == "cannot divide by the zero polynomial"
+        for g in (Poly.parse("1,1,2"), Poly.parse("3,0,0,u"), Poly.parse("2+3u")):
+            with pytest.raises(NonUnitLeadingCoefficient) as non_unit:
+                poly_divmod(f, g)
+            assert str(non_unit.value) == f"leading coefficient {g.lc()} of divisor is not a unit"
+    with pytest.raises(NonUnitLeadingCoefficient):
+        divides(Poly.parse("1,1,2"), Poly([1]), 7)
 
 
 @given(any_lists)

@@ -1,29 +1,15 @@
-"""Dense word-set kernels.
+"""Dense span closure: ``span_closure`` takes rows and returns the sorted,
+distinct rows of their span, which ``Code`` keeps as they are.
 
 A length-n word over the ring is a row of n symbol indices 4a + b, the
-same indices as ``Poly.symbols``.  A word set is stored as one sorted
-array of packed keys, a key to a word, 4 bits a symbol and big-endian, so
-key order equals the lexicographic order of the rows (the canonical export
-order, which is the order of the (a, b) pairs).  Ring operations on rows
-are lookups in the symbol tables of ``ring``.
-
-The word width picks the key type: a uint64 up to 16 symbols, a Python
-int in an object array above that.  The 4 bits of symbol 4a + b are two
-2-bit Z4 lanes, a above b, and ring addition is Z4 addition in each lane,
-so packed words add lane-wise with no table and no unpacking
-(``_add_keys``), under lane masks of the key's own type and width.  The
-same arithmetic serves both key types; nothing else depends on the width.
-
-The cyclic shift of ``Code.is_shift_closed`` works on keys too: it is a
-4-bit rotation, ``(k >> 4) | ((k & 15) << 4(n-1))``.
-
-``span_closure`` grows a set S one vector v at a time: S + Rv is the
-union of the cosets S + d over the distinct multiples d of v, and a
-coset is either inside the running union or disjoint from it.  Since S
-is inside the union, one binary search for d decides which, and each
-``np.union1d`` merges a new coset.  A new coset adds exactly |S| words,
-so the cap is decided before each merge, and no set larger than the cap
-is ever built.
+same indices as ``Poly.symbols``.  Inside this module, and nowhere else, a
+word set is one sorted array of packed keys, a key to a word, 4 bits a
+symbol and big-endian, so key order is the lexicographic order of the rows
+(the canonical word order).  A uint64 key holds up to 16 symbols, a Python
+int in an object array more.  The 4 bits of symbol 4a + b are two 2-bit
+Z4 lanes, a above b, and ring addition is Z4 addition in each lane, so
+packed words add lane-wise with no table (``_add_keys``), under lane masks
+of the key's own type; nothing else depends on the width.
 """
 
 from __future__ import annotations
@@ -47,7 +33,7 @@ def _key_type(width: int):
     return object, low, high
 
 
-def pack(rows: np.ndarray) -> np.ndarray:
+def _pack(rows: np.ndarray) -> np.ndarray:
     """One key per row."""
     width = rows.shape[1]
     dtype = _key_type(width)[0]
@@ -57,9 +43,17 @@ def pack(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def unpack(keys: np.ndarray, width: int) -> np.ndarray:
+def _unpack(keys: np.ndarray, width: int) -> np.ndarray:
     """The rows of ``width`` symbols that ``keys`` pack."""
-    rows = np.empty((keys.shape[0], width), dtype=np.uint8)
+    if keys.dtype == object:
+        # each Python int read once, as big-endian bytes of two symbols
+        # each, behind one zero nibble when the width is odd
+        size = (width + 1) // 2
+        data = b"".join([k.to_bytes(size, "big") for k in keys.tolist()])
+        octets = np.frombuffer(data, dtype=np.uint8).reshape(keys.size, size)
+        nibbles = np.stack((octets >> 4, octets & 15), axis=2).reshape(keys.size, 2 * size)
+        return np.ascontiguousarray(nibbles[:, 2 * size - width:])
+    rows = np.empty((keys.size, width), dtype=np.uint8)
     for k in range(width):
         rows[:, k] = (keys >> (4 * (width - 1 - k))) & 15
     return rows
@@ -76,20 +70,9 @@ def _add_keys(keys: np.ndarray, d, low, high) -> np.ndarray:
     return ((keys & low) + (d & low)) ^ ((keys ^ d) & high)
 
 
-def has_key(keys: np.ndarray, key) -> bool:
-    """Membership in a sorted key array."""
-    i = keys.searchsorted(key)
-    return bool(i < keys.size and keys[i] == key)
-
-
-def roll_keys(keys: np.ndarray, width: int) -> np.ndarray:
-    """Right cyclic shift by one symbol: the last nibble moves to the top."""
-    return (keys >> 4) | ((keys & 15) << (4 * (width - 1)))
-
-
 def span_closure(vectors, cap: int) -> np.ndarray:
-    """Sorted keys of the R-span of the given rows: every sum of ring
-    multiples r*v of them.
+    """The sorted, distinct rows of the R-span of the given rows: every
+    sum of ring multiples r*v of them.
 
     The span is shift-closed only if the vectors are (``enumerate_code``
     passes all n shifts of each generator).  Each step replaces the running
@@ -101,21 +84,24 @@ def span_closure(vectors, cap: int) -> np.ndarray:
     so the union's next size is known before the merge: CapExceeded is
     raised then, if that size passes ``cap``, and no set larger than
     ``cap`` is ever built.  A merge that does not grow the union by
-    exactly |S| raises RuntimeError.
+    exactly |S| raises RuntimeError.  The keys are unpacked once, at the
+    end.
     """
     vectors = np.asarray(vectors, dtype=np.uint8)
     width = vectors.shape[1]
-    _, low, high = _key_type(width)
-    keys = pack(np.zeros((1, width), dtype=np.uint8))
+    dtype, low, high = _key_type(width)
+    keys = np.zeros(1, dtype=dtype)
     for v in vectors:
         acc = keys
-        for d in np.unique(pack(_MUL16[:, v])):
-            if not has_key(acc, d):
-                size = acc.size + keys.size
-                if size > cap:
-                    raise CapExceeded(f"code grew past cap={cap}")
-                acc = np.union1d(acc, _add_keys(keys, d, low, high))
-                if acc.size != size:
-                    raise RuntimeError("a span closure merge did not add one whole coset")
+        for d in np.unique(_pack(_MUL16[:, v])):
+            i = acc.searchsorted(d)
+            if i < acc.size and acc[i] == d:
+                continue  # the union holds the whole coset S + d
+            size = acc.size + keys.size
+            if size > cap:
+                raise CapExceeded(f"code grew past cap={cap}")
+            acc = np.union1d(acc, _add_keys(keys, d, low, high))
+            if acc.size != size:
+                raise RuntimeError("a span closure merge did not add one whole coset")
         keys = acc
-    return keys
+    return _unpack(keys, width)

@@ -9,6 +9,8 @@ before each merge, so no set larger than the cap is ever built.
 
 ``enumerate_code`` alone builds a ``Code``, so every code is an ideal of
 R[x]/(x^n - 1), and its minimum distance is its minimum nonzero weight.
+A code holds the sorted rows of its words, which ``_dense.span_closure``
+returns; the packed keys that the closure works on stay inside ``_dense``.
 """
 
 from __future__ import annotations
@@ -122,44 +124,46 @@ def generator_polys(gens: GeneratorSet) -> tuple[Poly, Optional[Poly]]:
 # ---------------------------------------------------------------------------
 
 class Code:
-    """An ideal that ``enumerate_code`` built, as one sorted key array.
+    """An ideal that ``enumerate_code`` built, as the sorted rows of its
+    words.
 
     ``generators`` holds its reduced ideal generators g_a[, g_b].  A word
     is a row of n symbol indices 4a + b (the indices of ``Poly.symbols``),
-    and the code keeps one packed key per word (``_dense.pack``).  Key
-    order is the lexicographic order of the rows, which is the order by
-    the (a, b) pairs of the symbols, so words and exports, unpacked from
-    the keys, are deterministic and diffable.  Membership is a binary
-    search in the keys; rows are unpacked only for words, exports and
-    distances.  Only ``is_shift_closed``, the guard of ``enumerate_code``,
-    checks the whole set.  The other closure predicates ask the ideal's
-    generators: reversal maps x^i*g to x^-i*rev(g), so the code is
-    reversible iff each reversed generator is a word (Massey, *Reversible
-    codes*, 1964, for fields).  The complement of w is c - w, c the
-    all-(1+u) word, so the code is complement-closed iff c is a word, and
-    RC-closed iff both hold.
+    and ``rows`` holds one distinct row per word, a uint8 array sorted
+    lexicographically, which is the order by the (a, b) pairs of the
+    symbols: words and exports read the rows as stored, so they are
+    deterministic and diffable.  Membership is a binary search in the rows,
+    each row compared as one byte string.  Only ``is_shift_closed``, the
+    guard of ``enumerate_code``, checks the whole set.  The other closure
+    predicates ask the ideal's generators: reversal maps x^i*g to
+    x^-i*rev(g), so the code is reversible iff each reversed generator is
+    a word (Massey, *Reversible codes*, 1964, for fields).  The complement
+    of w is c - w, c the all-(1+u) word, so the code is complement-closed
+    iff c is a word, and RC-closed iff both hold.
     """
 
-    def __init__(self, n: int, keys: np.ndarray, generators: tuple[Poly, ...]):
+    def __init__(self, n: int, rows: np.ndarray, generators: tuple[Poly, ...]):
         self.n = n
-        self._keys = keys
+        self.rows = rows
         self.generators = generators
 
     def __len__(self) -> int:
-        return self._keys.size
+        return len(self.rows)
 
     def __contains__(self, w: CodeWord) -> bool:
         return len(w) == self.n and self._has_row(word_to_row(w))
 
     def _has_row(self, row: np.ndarray) -> bool:
-        return _dense.has_key(self._keys, _dense.pack(row.reshape(1, -1))[0])
-
-    def _rows(self) -> np.ndarray:
-        return _dense.unpack(self._keys, self.n)
+        # each row viewed as one n-byte string, which compares as the row does
+        as_bytes = np.dtype((np.void, self.n))
+        rows = self.rows.view(as_bytes).ravel()
+        key = np.ascontiguousarray(row).view(as_bytes)[0]
+        i = rows.searchsorted(key)
+        return bool(i < rows.size and rows[i] == key)
 
     def words(self) -> Iterator[CodeWord]:
         """Words in canonical order."""
-        for row in self._rows():
+        for row in self.rows:
             yield row_to_word(row)
 
     # -- closure predicates -------------------------------------------------
@@ -168,8 +172,13 @@ class Code:
 
     def is_shift_closed(self) -> bool:
         # a roll permutes words, so the set is closed under it iff the
-        # sorted rolled keys are the keys
-        return np.array_equal(self._keys, np.sort(_dense.roll_keys(self._keys, self.n)))
+        # sorted rolled rows are the rows.  The rows are sorted, so the
+        # rolled rows sort by their first symbol, the last one before the
+        # roll, and keep their order within it: one stable sort of the last
+        # column sorts them.
+        rows = self.rows
+        by_last = rows.take(np.argsort(rows[:, -1], kind="stable"), axis=0)
+        return np.array_equal(np.concatenate((by_last[:, -1:], by_last[:, :-1]), axis=1), rows)
 
     def is_reversible(self) -> bool:
         return self._reversible()
@@ -202,7 +211,8 @@ class Code:
     def _nonzero_rows(self) -> np.ndarray:
         if len(self) < 2:
             raise TrivialCode("need at least two codewords")
-        return _dense.unpack(self._keys[self._keys != 0], self.n)
+        # the rows are sorted and distinct, so only the first can be zero
+        return self.rows[1:] if not self.rows[0].any() else self.rows
 
     def min_hamming_distance(self) -> int:
         """Minimum symbolwise Hamming distance: the minimum nonzero weight,
@@ -218,7 +228,7 @@ class Code:
         """Each word in export format ``fmt``, in canonical word order."""
         text = _SYMBOL_TEXT[fmt]
         sep = "," if fmt == "ring" else ""
-        return [sep.join([text[k] for k in word]) for word in self._rows().tolist()]
+        return [sep.join([text[k] for k in word]) for word in self.rows.tolist()]
 
     def dna_words(self) -> list[str]:
         """Nucleotide strings of length 2n, in canonical word order."""

@@ -40,7 +40,8 @@ def inverse(x):
 
 
 def cyclic_shift(w):
-    """Checks ``_dense.roll_keys``: (c0, ..., c_{n-1}) -> (c_{n-1}, c0, ..., c_{n-2})."""
+    """Checks ``roll_rows`` of ``test_cyclic``, the oracle of
+    ``Code.is_shift_closed``: (c0, ..., c_{n-1}) -> (c_{n-1}, c0, ..., c_{n-2})."""
     return w[-1:] + w[:-1]
 
 

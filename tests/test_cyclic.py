@@ -288,8 +288,7 @@ def test_cap_bounds_memory_of_wide_rows():
 
 def test_enumerate_rejects_a_set_that_is_not_shift_closed(monkeypatch):
     def not_closed(vectors, cap):
-        return np.unique(_dense.pack(np.stack([word_to_row(words_of([0, 0, 0])),
-                                                word_to_row(words_of([1, 0, 0]))])))
+        return np.stack([word_to_row(words_of([0, 0, 0])), word_to_row(words_of([1, 0, 0]))])
 
     monkeypatch.setattr(_dense, "span_closure", not_closed)
     with pytest.raises(RuntimeError, match="not shift-closed"):
@@ -479,10 +478,6 @@ def _words(rows):
     return [row_to_word(row) for row in rows]
 
 
-def _key_words(keys, n):
-    return _words(_dense.unpack(keys, n))
-
-
 def _sorted_set(words):
     """Distinct words in canonical order: by the (a, b) pairs of the symbols."""
     return sorted(set(words), key=lambda w: [(c.a, c.b) for c in w])
@@ -515,7 +510,7 @@ def rc_rows(rows):
 @given(word_lists())
 def test_canonical_sorts_by_symbol_pairs(case):
     n, words = case
-    assert _key_words(np.unique(_dense.pack(_rows(words))), n) == _sorted_set(words)
+    assert _words(_dense._unpack(np.unique(_dense._pack(_rows(words))), n)) == _sorted_set(words)
 
 
 @settings(max_examples=80, deadline=None)
@@ -532,44 +527,14 @@ def test_row_maps_match_word_maps(case, shift):
     assert _words(roll_rows(rows, shift)) == shifted
 
 
-# the key types' sides at 16/17 symbols (16 is where reversal shifts by 0)
-# and past 64 bits
-KEY_LENGTHS = LENGTHS + (80,)
-
-_KEY_MAPS = {
-    "roll": (_dense.roll_keys, cyclic_shift),
-}
-
-
-def _distinct_symbols(n):
-    return n, [tuple(ALL_ELEMENTS[k % 16] for k in range(n))]
-
-
-@pytest.mark.parametrize("name", sorted(_KEY_MAPS))
-@settings(max_examples=60, deadline=None)
-@given(word_lists(lengths=KEY_LENGTHS), st.integers(1, 25))
-@example(_distinct_symbols(16), 1)
-@example(_distinct_symbols(17), 1)
-@example(_distinct_symbols(80), 1)
-def test_key_maps_match_word_maps(name, case, times):
-    key_map, word_map = _KEY_MAPS[name]
-    n, words = case
-    keys = _dense.pack(_rows(words))
-    for _ in range(times):
-        keys = key_map(keys, n)
-        words = [word_map(w) for w in words]
-    assert keys.dtype == _dense.pack(_rows(words)).dtype
-    assert _key_words(keys, n) == words
-
-
 @settings(max_examples=80, deadline=None)
 @given(word_lists(max_words=1))
 def test_scalar_orbit_is_every_multiple(case):
     # the span of one vector v is its orbit Rv under the 16 ring scalars
     n, (w,) = case
     multiples = [tuple(r * c for c in w) for r in ALL_ELEMENTS]
-    keys = _dense.span_closure([word_to_row(w)], 16)
-    assert _key_words(keys, n) == _sorted_set(multiples)
+    rows = _dense.span_closure([word_to_row(w)], 16)
+    assert _words(rows) == _sorted_set(multiples)
 
 
 @settings(max_examples=80, deadline=None)
@@ -581,9 +546,9 @@ def test_translates_are_symbolwise_sums(case, data):
     expected = _sorted_set(tuple(x + y for x, y in zip(w, d))
                            for w in words for d in deltas)
     _, low, high = _dense._key_type(n)
-    keys = np.unique(_dense.pack(_rows(words)))
-    translates = [_dense._add_keys(keys, d, low, high) for d in _dense.pack(_rows(deltas))]
-    assert _key_words(np.unique(np.concatenate(translates)), n) == expected
+    keys = np.unique(_dense._pack(_rows(words)))
+    translates = [_dense._add_keys(keys, d, low, high) for d in _dense._pack(_rows(deltas))]
+    assert _words(_dense._unpack(np.unique(np.concatenate(translates)), n)) == expected
 
 
 def _small_instance(n, limit, rng):
@@ -676,7 +641,7 @@ def test_closure_predicates_match_row_maps_on_the_length3_lattice():
     mismatches, seen = [], set()
     for gens in _exhaustive_instances(3, 1):
         code = enumerate_code(gens)
-        rows = code._rows()
+        rows = code.rows
         words = _row_bytes(rows)
         maps = [dict(zip(words, _row_bytes(row_map(rows)))).__getitem__
                 for row_map in (reverse_rows, complement_rows, rc_rows)]
@@ -719,6 +684,53 @@ def test_no_odd_length_word_is_its_own_reverse_complement(data):
 
 
 # ---------------------------------------------------------------------------
+# The rows of a Code: binary-search lookup and shift closure, at every width
+# ---------------------------------------------------------------------------
+
+# both sides of the 16-symbol packed-key limit of _dense, and past 64
+ROW_WIDTHS = (1, 2, 3, 15, 16, 17, 21, 63, 80)
+
+
+@st.composite
+def row_sets(draw, max_rows=24):
+    """Sorted, distinct rows of one width, as a Code stores them."""
+    width = draw(st.sampled_from(ROW_WIDTHS))
+    cells = st.lists(st.integers(0, 15), min_size=width, max_size=width)
+    rows = np.array(draw(st.lists(cells, min_size=1, max_size=max_rows)), dtype=np.uint8)
+    return np.unique(rows, axis=0)
+
+
+def _rolled_set_is_the_set(rows):
+    return set(map(bytes, roll_rows(rows))) == set(map(bytes, rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sets(), st.data())
+def test_row_lookup_finds_each_row_and_rejects_rows_one_symbol_off(rows, data):
+    width = rows.shape[1]
+    code = Code(width, rows, ())
+    held = set(map(bytes, rows))
+    assert all(row_to_word(row) in code for row in rows)
+    for row in rows:
+        off = row.copy()
+        k = data.draw(st.integers(0, width - 1))
+        off[k] = (off[k] + data.draw(st.integers(1, 15))) % 16
+        assert (row_to_word(off) in code) == (bytes(off) in held)
+    assert code.is_shift_closed() == _rolled_set_is_the_set(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_sets())
+def test_shift_closure_agrees_with_set_comparison(rows):
+    width = rows.shape[1]
+    # the union of all rolls is shift-closed, so both answers occur
+    closed = np.unique(np.concatenate([roll_rows(rows, i) for i in range(width)]), axis=0)
+    for each in (rows, closed):
+        assert Code(width, each, ()).is_shift_closed() == _rolled_set_is_the_set(each)
+    assert Code(width, closed, ()).is_shift_closed()
+
+
+# ---------------------------------------------------------------------------
 # Packed-key kernels of _dense against row arithmetic, at every key width
 # ---------------------------------------------------------------------------
 
@@ -745,25 +757,9 @@ def test_key_addition_is_symbolwise_ring_addition(case):
     # all-15 words set every bit of their keys, so every lane mask bit counts
     rows, d = case
     _, low, high = _dense._key_type(d.size)
-    keys = _dense._add_keys(_dense.pack(rows), _dense.pack(d.reshape(1, -1))[0], low, high)
-    assert np.array_equal(keys, _dense.pack(_ADD16[rows, d]))
-    assert np.array_equal(_dense.unpack(keys, d.size), _ADD16[rows, d])
-
-
-@settings(max_examples=80, deadline=None)
-@given(rows_and_delta())
-def test_shift_closure_agrees_with_set_comparison(case):
-    rows, _ = case
-    width = rows.shape[1]
-    # the union of all rolls is shift-closed, so both answers occur
-    closed = np.unique(_dense.pack(rows))
-    for _ in range(width):
-        closed = np.union1d(closed, _dense.roll_keys(closed, width))
-    for keys in (np.unique(_dense.pack(rows)), closed):
-        as_rows = set(map(bytes, _dense.unpack(keys, width)))
-        rolled = set(map(bytes, roll_rows(_dense.unpack(keys, width))))
-        assert Code(width, keys, ()).is_shift_closed() == (as_rows == rolled)
-    assert Code(width, closed, ()).is_shift_closed()
+    keys = _dense._add_keys(_dense._pack(rows), _dense._pack(d.reshape(1, -1))[0], low, high)
+    assert np.array_equal(keys, _dense._pack(_ADD16[rows, d]))
+    assert np.array_equal(_dense._unpack(keys, d.size), _ADD16[rows, d])
 
 
 @settings(max_examples=15, deadline=None)
@@ -775,7 +771,7 @@ def test_key_span_closure_matches_oracle_on_shuffled_vectors(n, seed):
     vectors = [word_to_row(word_from_poly(g.shift(i), n))
                for g in generator_polys(gens) if g is not None for i in range(n)]
     rng.shuffle(vectors)
-    sizes = [1] + [_dense.span_closure(vectors[:j], 1 << 20).size
+    sizes = [1] + [len(_dense.span_closure(vectors[:j], 1 << 20))
                    for j in range(1, len(vectors) + 1)]
     # S + Rv is |S + Rv| / |S| cosets of S, and S is already there: a
     # multiple whose coset the union holds is not merged
@@ -788,8 +784,8 @@ def test_key_span_closure_matches_oracle_on_shuffled_vectors(n, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_dense, "_add_keys", counted)
-        keys = _dense.span_closure(vectors, len(expected))
-    assert _key_words(keys, n) == expected
+        rows = _dense.span_closure(vectors, len(expected))
+    assert _words(rows) == expected
     assert len(merged) == sum(after // before - 1 for before, after in zip(sizes, sizes[1:]))
     if len(expected) > 1:
         # the cap fires before the merge that would first pass it, the last
@@ -816,5 +812,5 @@ def test_span_closure_skips_vectors_already_in_the_span(monkeypatch):
     _dense.span_closure([v], 1 << 20)
     alone = len(calls)
     calls.clear()
-    keys = _dense.span_closure([v, _dense._MUL16[2, v], v, _dense._MUL16[5, v]], 1 << 20)
-    assert len(calls) == alone and len(keys) == 16
+    rows = _dense.span_closure([v, _dense._MUL16[2, v], v, _dense._MUL16[5, v]], 1 << 20)
+    assert len(calls) == alone and len(rows) == 16

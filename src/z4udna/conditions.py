@@ -8,7 +8,8 @@ Four named condition sets are evaluated on a generator tuple:
   i = deg f1 - deg f2 and j = deg f1 - deg f14.  One body, ``_check``,
   computes every clause for both forms, in report order; ``_FORMS`` holds
   what differs by form (the clause (a) list and the texts), and only the
-  (b)(ii) branch differs in logic.
+  (b)(ii) branch differs in logic.  The (b) clauses run on symbol strings
+  through ``poly``'s kernels, building no ``Poly`` but the unit-factor note's.
 * ``T41`` / ``T42``: T31 / T32 plus membership of the word with every
   symbol 3+3u, which is the reverse-complement of the zero word, added by
   ``_with_membership``.  Membership is decided from f1(1) being a unit,
@@ -43,19 +44,23 @@ from .cyclic import (
 from .errors import CapExceeded, WrongForm
 from .poly import (
     Poly,
+    _add,
+    _divides,
+    _fold,
+    _poly,
     constant_factor,
-    divides,
     factor_xn_minus_1_z4,
-    poly_mod_xn,
-    reciprocal,
     self_reciprocal_constant,
 )
-from .ring import ALL_ELEMENTS, RingElem, UNITS
+from .ring import ALL_ELEMENTS, SCALE, RingElem, UNITS
 
 PROPERTIES = ("reversible", "rc_closed")
 
 # Symbol indices of the units other than 1, in canonical element order.
 _UNITS_BUT_ONE = bytes(m.index for m in UNITS[1:])  # UNITS[0] is 1
+
+# bytes.translate table doubling each symbol: 2 is symbol 8 (2 + 0u).
+_TWO = SCALE[8]
 
 # T31 and T32: the theorem, the polynomials clause (a) requires to be
 # self-reciprocal, the WrongForm message and the (b)(ii) failure.
@@ -105,38 +110,39 @@ def _check(gens: GeneratorSet, double: bool) -> ConditionReport:
     failures = [f"(a) {name} is not self-reciprocal" for name in names
                 if self_reciprocal_constant(getattr(gens, name)) is None]
     notes: list[str] = []
+    # The (b) clauses work on symbol strings: x^k*f* mod x^n - 1 is f's
+    # symbols reversed after k zeros, folded.
+    f1, f2, f14 = gens.f1.symbols, gens.f2.symbols, gens.f14.symbols
     # (b)(i) is tested literally; a unit-factor near-miss is noted but fails
-    i = gens.f1.degree - gens.f2.degree
-    lhs = poly_mod_xn(reciprocal(gens.f2).shift(i), n)
-    rhs = poly_mod_xn(gens.f2, n)
+    i = len(f1) - len(f2)
+    lhs = _fold((bytes(i) + f2[::-1]).rstrip(b"\0"), n)
+    rhs = _fold(f2, n)
     if lhs != rhs:
         failures.append("(b)(i) x^i*f2* != f2")
-        m = constant_factor(rhs, lhs, _UNITS_BUT_ONE)
+        m = constant_factor(_poly(rhs), _poly(lhs), _UNITS_BUT_ONE)
         if m is not None:
             notes.append(f"(b)(i) holds up to the unit factor m={ALL_ELEMENTS[m]}")
-    # (b)(ii) works on the reduced x^j*f14* and f14; f14 = 0 leaves j None
-    # and both terms equal to that zero f14 (reused: no Poly() per call)
-    j, shifted, f14r = None, gens.f14, gens.f14
-    if not gens.f14.is_zero:
-        j = gens.f1.degree - gens.f14.degree
+    # (b)(ii) works on x^j*f14* reduced and on f14, which validate keeps
+    # below degree n; f14 = 0 leaves j None and the dividend
+    # 2x^j*f14* + 2f14 zero
+    j, shifted = None, f14
+    if f14:
+        j = len(f1) - len(f14)
         if j < 0:
             notes.append("j < 0 (deg f14 exceeds deg f1); exponent taken mod n")
-        shifted = poly_mod_xn(reciprocal(gens.f14).shift(j % n), n)
-        f14r = poly_mod_xn(gens.f14, n)
+        shifted = _fold((bytes(j % n) + f14[::-1]).rstrip(b"\0"), n)
+    dividend = _add(shifted, f14).translate(_TWO).rstrip(b"\0")
+    branch = None
     if double:
-        dividend = poly_mod_xn(shifted * 2 + f14r * 2, n)
-        if divides(gens.f4, dividend, n):
+        f4 = _fold(gens.f4.symbols, n)
+        if _divides(f4, dividend):
             branch = "div-f14" if j is not None else "vacuous"
-        elif divides(gens.f4, poly_mod_xn(dividend + gens.f2 * 2, n), n):
+        elif _divides(f4, _add(dividend, rhs.translate(_TWO)).rstrip(b"\0")):
             branch = "div-f14-plus-f2"
-        else:
-            branch = None
-    elif j is None or shifted == f14r:
+    elif j is None or shifted == f14:
         branch = "vacuous" if j is None else "equality"
-    elif divides(gens.f2, poly_mod_xn(shifted * 2 + f14r * 2, n), n):
+    elif _divides(rhs, dividend):
         branch = "divisibility"
-    else:
-        branch = None
     if branch is None:
         failures.append(b2_failure)
     return ConditionReport(theorem, not failures, i, j, branch,

@@ -4,16 +4,18 @@
 degree, no trailing zeros, the zero polynomial being the empty sequence.
 Division works whenever the divisor has a unit leading coefficient, which
 is all the divisibility conditions downstream ever need (their divisors
-are monic).  It has one loop, ``_remainder``, which returns only the
-remainder's symbols: ``poly_divmod`` hands it a quotient buffer, and
-``divides`` and ``cyclic.validate`` test its remainder for zero.  Reducing
-x^n - 1 by a divisor from the lattice takes about 9 us at n = 7 and 11,
-22 and 125 us at n = 15, 21 and 63 (mean best per divisor, 2-vCPU shared
-VM).  The product of two polynomials is taken by Kronecker
-substitution: the Z4 parts and the u parts of each operand are packed into
-Python ints, one fixed-width slot per coefficient, so three big-int
-products give a*c and a*d + b*c, and the low two bits of each slot are
-the coefficients of (a + ub)(c + ud) = ac + u(ad + bc).
+are monic).  Two byte kernels on symbol strings, one loop each, do the
+x^n - 1 work: ``_fold`` reduces mod x^n - 1 for ``poly_mod_xn``, and
+``_remainder`` returns only a remainder's symbols.  ``poly_divmod`` hands
+it a quotient buffer; ``divides``, ``cyclic.validate`` and the T31-T42
+clauses of ``conditions`` test its remainder for zero.  Reducing x^n - 1
+by a lattice divisor takes about 9 us at n = 7 and 11, 22 and 125 us at
+n = 15, 21 and 63 (mean best per divisor, 2-vCPU shared VM).  The
+product of two polynomials is taken by Kronecker substitution: the Z4
+parts and the u parts of each operand are packed into Python ints, one
+fixed-width slot per coefficient, so three big-int products give a*c and
+a*d + b*c, and the low two bits of each slot are the coefficients of
+(a + ub)(c + ud) = ac + u(ad + bc).
 
 The distinct irreducible factors of x^n - 1 over F2 (squarefree for odd
 n) come in closed form from the 2-cyclotomic cosets mod n: each coset's
@@ -180,17 +182,24 @@ def xn_minus_1(n: int) -> Poly:
     return _poly(b"\x0c" + bytes(n - 1) + b"\4")
 
 
+def _fold(s: bytes, n: int) -> bytes:
+    """s mod x^n - 1, each block of n symbols added onto the first: s itself
+    when no longer than n, else canonical (trailing zeros dropped)."""
+    if len(s) <= n:
+        return s
+    out = s[:n]
+    for k in range(n, len(s), n):
+        out = _add(out, s[k:k + n])
+    return out.rstrip(b"\0")
+
+
 def poly_mod_xn(f: Poly, n: int) -> Poly:
     """Canonical degree < n representative, folding x^k onto x^(k mod n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = f.symbols
-    if len(s) <= n:
+    if len(f.symbols) <= n:
         return f  # already reduced; Poly is immutable, so no copy
-    out = s[:n]
-    for k in range(n, len(s), n):
-        out = _add(out, s[k:k + n])
-    return _poly(out)
+    return _poly(_fold(f.symbols, n))
 
 
 def _remainder(f: bytes, g: bytes, q=None) -> bytes:
@@ -244,11 +253,15 @@ def divides(g: Poly, f: Poly, n: int) -> bool:
     A divisor reducing to zero (such as x^n - 1 itself) divides only the
     zero residue.
     """
-    fr = poly_mod_xn(f, n)
-    gr = poly_mod_xn(g, n)
-    if gr.is_zero:
-        return fr.is_zero
-    return not _remainder(fr.symbols, gr.symbols).rstrip(b"\0")
+    return _divides(poly_mod_xn(g, n).symbols, poly_mod_xn(f, n).symbols)
+
+
+def _divides(g: bytes, f: bytes) -> bool:
+    """Whether g | f, for canonical symbol strings reduced mod x^n - 1: a
+    zero g divides only a zero f, any other g leaves a zero remainder."""
+    if not g:
+        return not f
+    return not _remainder(f, g).rstrip(b"\0")
 
 
 def reciprocal(f: Poly) -> Poly:

@@ -11,6 +11,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from z4udna.conditions import (
     ConditionReport,
@@ -178,3 +179,16 @@ def test_reports_match_the_reference_scans(n):
     assert "(b)(i) holds up to the unit factor m=3" in notes
     assert "j < 0 (deg f14 exceeds deg f1); exponent taken mod n" in notes
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 7, 15, 21)), st.integers(0, 2**32 - 1), st.booleans(),
+       st.data())
+def test_reports_match_the_reference_for_f14_of_any_degree(n, seed, double, data):
+    # f14 of any degree below n and any coefficients: x^(j mod n)*f14* can
+    # fold past x^n, and an f14 with zero low coefficients has a reciprocal
+    # of lower degree, which the scans above reach only by chance
+    coeffs = data.draw(st.lists(st.sampled_from(ALL_ELEMENTS), max_size=n))
+    gens = replace(lattice_tuples(n, 1, seed)[double], f14=Poly(coeffs))
+    assert check(gens) == ref_check(gens)
+    assert rc_check(gens) == ref_rc_check(gens)

@@ -16,14 +16,14 @@ returns; the packed keys that the closure works on stay inside ``_dense``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import _dense
 from .errors import InvalidGenerators, TrivialCode, LengthMismatch
 from .poly import Poly, _remainder, poly_mod_xn, xn_minus_1
-from .ring import ALL_ELEMENTS, CODON, GRAY, LEE, TEXT, RingElem, U
+from .ring import CODON, GRAY, LEE, TEXT, RingElem, U
 
 DEFAULT_CAP = 1 << 20
 
@@ -44,10 +44,6 @@ def _poly_row(g: Poly, n: int) -> np.ndarray:
 
 def word_to_row(w: CodeWord) -> np.ndarray:
     return np.array([c.index for c in w], dtype=np.uint8)
-
-
-def row_to_word(row: np.ndarray) -> CodeWord:
-    return tuple(ALL_ELEMENTS[k] for k in row.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +127,9 @@ class Code:
     is a row of n symbol indices 4a + b (the indices of ``Poly.symbols``),
     and ``rows`` holds one distinct row per word, a uint8 array sorted
     lexicographically, which is the order by the (a, b) pairs of the
-    symbols: words and exports read the rows as stored, so they are
-    deterministic and diffable.  Membership is a binary search in the rows,
-    each row compared as one byte string.  Only ``is_shift_closed``, the
+    symbols: the exports read the rows as stored, so they are deterministic
+    and diffable.  Membership is a binary search in the rows, each row
+    compared as one byte string.  Only ``is_shift_closed``, the
     guard of ``enumerate_code``, checks the whole set.  The other closure
     predicates ask the ideal's generators: reversal maps x^i*g to
     x^-i*rev(g), so the code is reversible iff each reversed generator is
@@ -160,11 +156,6 @@ class Code:
         key = np.ascontiguousarray(row).view(as_bytes)[0]
         i = rows.searchsorted(key)
         return bool(i < rows.size and rows[i] == key)
-
-    def words(self) -> Iterator[CodeWord]:
-        """Words in canonical order."""
-        for row in self.rows:
-            yield row_to_word(row)
 
     # -- closure predicates -------------------------------------------------
     # The public predicates are traced, so each reaches its lookups through

@@ -100,10 +100,6 @@ class Poly:
         return cls(RingElem.parse(tok) for tok in text.split(","))
 
     @property
-    def coeffs(self) -> tuple[RingElem, ...]:
-        return tuple(map(ALL_ELEMENTS.__getitem__, self.symbols))
-
-    @property
     def degree(self):
         """Degree as an int, or None for the zero polynomial."""
         return len(self.symbols) - 1 if self.symbols else None
@@ -114,11 +110,6 @@ class Poly:
 
     def is_monic(self) -> bool:
         return self.symbols[-1:] == b"\4"
-
-    def lc(self) -> RingElem:
-        if not self.symbols:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return ALL_ELEMENTS[self.symbols[-1]]
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):

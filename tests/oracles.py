@@ -71,11 +71,17 @@ def closed_under(words, word_map):
     return all(word_map(w) in pool for w in pool)
 
 
+def words(code):
+    """Checks ``enumerate_code`` and ``Code`` membership against word sets:
+    the words of ``code.rows`` as tuples of RingElems, in stored order."""
+    return [tuple(ALL_ELEMENTS[k] for k in row) for row in code.rows.tolist()]
+
+
 def word_from_poly(f, n):
     """Checks the generator words that ``enumerate_code`` spans: f mod
     x^n - 1 as n RingElems, folded one term at a time."""
     word = [RingElem(0)] * n
-    for k, c in enumerate(f.coeffs):
+    for k, c in enumerate(coeffs(f)):
         word[k % n] = word[k % n] + c
     return tuple(word)
 
@@ -138,9 +144,9 @@ def all_multiplier_words(gens):
     def products(g):
         base = word_from_poly(g, n)
         out = set()
-        for coeffs in itertools.product(ALL_ELEMENTS, repeat=n):
+        for multiplier in itertools.product(ALL_ELEMENTS, repeat=n):
             word = [RingElem(0)] * n
-            for i, m in enumerate(coeffs):
+            for i, m in enumerate(multiplier):
                 if not m:
                     continue
                 for j, c in enumerate(base):
@@ -164,6 +170,12 @@ def all_multiplier_words(gens):
 # ---------------------------------------------------------------------------
 # Polynomials as coefficient lists of RingElem, lowest degree first
 # ---------------------------------------------------------------------------
+
+def coeffs(p):
+    """Checks ``Poly`` arithmetic on ``Poly.symbols`` against the lists of
+    this section: the coefficients of p as RingElems, lowest degree first."""
+    return tuple(ALL_ELEMENTS[k] for k in p.symbols)
+
 
 def trim(cs):
     """Checks the canonical form of ``Poly``: the coefficients as a tuple,

@@ -10,7 +10,7 @@ import itertools
 import random
 import time
 
-from oracles import all_multiplier_words, letterwise_complement
+from oracles import all_multiplier_words, letterwise_complement, words
 from z4udna import dna
 from z4udna.conditions import check_rc_single, sweep
 from z4udna.cyclic import (
@@ -204,7 +204,7 @@ def test_acceptance_09_enumeration_matches_direct_oracle():
             f3 = rng.choice(divisors)
             f4 = rng.choice([d for d in divisors if divides(d, f3, 3)])
             gens = GeneratorSet(3, f1, f2, f14, f3, f4)
-        ok &= set(enumerate_code(gens).words()) == all_multiplier_words(gens)
+        ok &= set(words(enumerate_code(gens))) == all_multiplier_words(gens)
         checked += 1
     _report("enumeration equals the all-multipliers oracle on 20 random length-3 codes",
             ok and time.perf_counter() - t0 < 30.0, t0)

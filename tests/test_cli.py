@@ -146,6 +146,13 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error):
     assert (out, err) == ("", "error: boom\n")
 
 
+@pytest.mark.parametrize("given", [("--f1", "1,1,1"), ("--f2", "1,1,1")],
+                         ids=["without-f2", "without-f1"])
+def test_check_needs_f1_and_f2(capsys, given):
+    assert run(capsys, "check", "--n", "3", *given, "--property", "thm31") == (
+        2, "", "error: --f1 and --f2 are required\n")
+
+
 def test_check_form_mismatch(capsys):
     code, _, err = run(capsys, "check", "--n", "3", "--f1", "1,1,1", "--f2", "1,1,1",
                        "--f3", "3,1", "--f4", "1", "--property", "thm31")
@@ -158,6 +165,9 @@ def test_distance(capsys):
     assert run(capsys, "distance", *base, "--metric", "dna")[:2] == (0, "3\n")
     seven = ("--n", "7", "--f1", "1,1,1,1,1,1,1", "--f2", "1,1,1,1,1,1,1")
     assert run(capsys, "distance", *seven, "--metric", "hamming")[:2] == (0, "7\n")
+    # the 1024-word n=7 code of f2 = x^3 + 2x^2 + x - 1
+    hamming7 = ("--n", "7", "--f1", "1,1,1,1,1,1,1", "--f2", "3,1,2,1")
+    assert run(capsys, "distance", *hamming7, "--metric", "lee") == (0, "6\n", "")
 
 
 def test_distance_codebook(tmp_path, capsys):

@@ -155,6 +155,8 @@ def test_predict_dispatch():
     assert predict(EX_61II, "rc_closed").theorem == "T42"
     with pytest.raises(ValueError):
         predict(EX_61I, "palindromic")
+    with pytest.raises(ValueError, match="^unknown property 'bogus'$"):
+        cross_validate(EX_61I, "bogus")
 
 
 def test_sweep_n1_all_agree():

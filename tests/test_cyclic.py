@@ -13,12 +13,14 @@ from oracles import (
     all_multiplier_words,
     closed_under,
     complement_word,
+    coeffs,
     cyclic_shift,
     ideal_words,
     ref_divmod,
     reverse_complement,
     reverse_word,
     word_from_poly,
+    words,
 )
 from z4udna import _dense, dna
 from z4udna.conditions import _divisor_lattice, _exhaustive_instances, _random_instance
@@ -29,7 +31,6 @@ from z4udna.cyclic import (
     generator_polys,
     is_quasi_cyclic_index4,
     render_code_export,
-    row_to_word,
     validate,
     word_to_row,
 )
@@ -115,7 +116,7 @@ def ref_problems(gens):
     problems = []
 
     def chain(small, big):
-        low, high = getattr(gens, small).coeffs, getattr(gens, big).coeffs
+        low, high = coeffs(getattr(gens, small)), coeffs(getattr(gens, big))
         problems.extend(f"{name} must be monic" for name, f in ((small, low), (big, high))
                         if f[-1:] != (one,))
         if high[-1:] == (one,) and ref_divmod(modulus, high)[1]:
@@ -202,13 +203,13 @@ def test_enumerate_constant_code():
     code = enumerate_code(EX_61I)
     assert len(code) == 16
     expected = {tuple([c] * 3) for c in ALL_ELEMENTS}
-    assert set(code.words()) == expected
+    assert set(words(code)) == expected
     assert code.generators == (Poly.parse("3,3,3"),)
 
 
 def test_enumerate_zero_code():
     code = enumerate_code(ZERO_3)
-    assert set(code.words()) == {words_of([0, 0, 0])}
+    assert set(words(code)) == {words_of([0, 0, 0])}
 
 
 def test_enumerate_length7():
@@ -220,6 +221,8 @@ def test_enumerate_length7():
 def test_enumerate_cap():
     with pytest.raises(CapExceeded):
         enumerate_code(GeneratorSet(3, Poly.parse("1"), Poly.parse("1")), cap=100)
+    with pytest.raises(ValueError, match="^cap must be >= 1$"):
+        enumerate_code(EX_61I, cap=0)
 
 
 @pytest.mark.parametrize("gens, size", [
@@ -308,7 +311,7 @@ def test_enumerated_codes_are_closed():
         gens = GeneratorSet(3, f1, f2, f14)
         code = enumerate_code(gens)
         assert code.is_shift_closed()
-        ws = list(code.words())
+        ws = words(code)
         for _ in range(100):
             a, b = rng.choice(ws), rng.choice(ws)
             assert tuple(x + y for x, y in zip(a, b)) in code
@@ -369,7 +372,7 @@ def test_gray_image():
     zero = enumerate_code(ZERO_3)
     assert zero.gray_words() == ["0" * 12]
     code = enumerate_code(EX_61I)
-    assert code.gray_words() == ["".join(GRAY[c.index] for c in w) for w in code.words()]
+    assert code.gray_words() == ["".join(GRAY[c.index] for c in w) for w in words(code)]
     assert "011101110111" in code.gray_words()  # (1+u, 1+u, 1+u)
     assert len(set(code.gray_words())) == len(code)
 
@@ -378,6 +381,7 @@ def test_quasi_cyclic_index4():
     code = enumerate_code(EX_61I)
     assert is_quasi_cyclic_index4(code.gray_words())
     assert is_quasi_cyclic_index4({"0" * 12})
+    assert is_quasi_cyclic_index4([])
     assert not is_quasi_cyclic_index4({"10000000"})
     with pytest.raises(LengthMismatch):
         is_quasi_cyclic_index4({"0000", "00000000"})
@@ -420,7 +424,7 @@ def test_enumerate_length21_uses_wide_rows():
     gens = GeneratorSet(21, ones, ones)
     code = enumerate_code(gens)
     assert len(code) == 16
-    assert set(code.words()) == {tuple([c] * 21) for c in ALL_ELEMENTS}
+    assert set(words(code)) == {tuple([c] * 21) for c in ALL_ELEMENTS}
     assert code.is_dna_code()
     assert code.min_hamming_distance() == 21
     assert is_quasi_cyclic_index4(code.gray_words())
@@ -440,9 +444,9 @@ def test_enumerate_length73_constant_code():
     assert code.min_hamming_distance() == 73
 
 
-def test_membership_and_word_round_trip():
+def test_membership_and_word_to_row():
     code = enumerate_code(EX_61I)
-    for w in code.words():
+    for w in words(code):
         assert w in code
     assert words_of([1, 0, 0]) not in code
     # a zero word of another length is not a word of the n=3 code
@@ -450,7 +454,19 @@ def test_membership_and_word_round_trip():
     assert words_of([0, 0, 0, 0]) not in code
     row = word_to_row(words_of([(2, 3), (0, 1), (3, 0)]))
     assert list(row) == [11, 1, 12]
-    assert row_to_word(row) == words_of([(2, 3), (0, 1), (3, 0)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(0, 2**32 - 1), st.data())
+def test_membership_matches_the_ideal_oracle(n, seed, data):
+    # lattice tuples whose ideal the oracle lists in at most 4096 words;
+    # each probe is a word of the ideal or any word of length n
+    gens, ideal = _small_instance(n, 4096, random.Random(seed))
+    code = enumerate_code(gens)
+    probe = (st.sampled_from(_sorted_set(ideal))
+             | st.lists(elements, min_size=n, max_size=n).map(tuple))
+    for w in data.draw(st.lists(probe, min_size=1, max_size=16)):
+        assert (w in code) == (w in ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +491,7 @@ def _rows(words):
 
 
 def _words(rows):
-    return [row_to_word(row) for row in rows]
+    return words(Code(rows.shape[1], rows, ()))
 
 
 def _sorted_set(words):
@@ -593,14 +609,14 @@ def test_ideal_oracle_matches_acceptance_oracle():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_enumerate_matches_oracle_on_small_length7_codes(seed):
-    gens, words = _small_instance(7, 256, random.Random(seed))
-    assert list(enumerate_code(gens, cap=256).words()) == _sorted_set(words)
+    gens, expected = _small_instance(7, 256, random.Random(seed))
+    assert words(enumerate_code(gens, cap=256)) == _sorted_set(expected)
 
 
 def test_enumerate_matches_oracle_on_wide_rows():
     ones = Poly([1] * 21)
     gens = GeneratorSet(21, ones, ones)
-    assert list(enumerate_code(gens).words()) == _sorted_set(ideal_words(gens))
+    assert words(enumerate_code(gens)) == _sorted_set(ideal_words(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -710,12 +726,12 @@ def test_row_lookup_finds_each_row_and_rejects_rows_one_symbol_off(rows, data):
     width = rows.shape[1]
     code = Code(width, rows, ())
     held = set(map(bytes, rows))
-    assert all(row_to_word(row) in code for row in rows)
+    assert all(w in code for w in words(code))
     for row in rows:
         off = row.copy()
         k = data.draw(st.integers(0, width - 1))
         off[k] = (off[k] + data.draw(st.integers(1, 15))) % 16
-        assert (row_to_word(off) in code) == (bytes(off) in held)
+        assert (_words(off[None])[0] in code) == (bytes(off) in held)
     assert code.is_shift_closed() == _rolled_set_is_the_set(rows)
 
 

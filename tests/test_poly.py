@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import coeffs
 from z4udna.errors import (
     NonUnitLeadingCoefficient,
     NotAFactor,
@@ -58,6 +59,8 @@ def test_mod_xn():
     assert poly_mod_xn(Poly([0, 1, 0, 0, 1]), 3) == Poly([0, 2])
     f = Poly.parse("1,2,3")
     assert poly_mod_xn(f, 3) == f
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        poly_mod_xn(f, 0)
 
 
 def test_divmod_examples():
@@ -185,8 +188,8 @@ def test_lifts_all_supported_lengths():
         for lift, base in zip(z4_factors, f2_factors):
             assert base.degree >= 1 and lift.is_monic()
             # congruent mod 2
-            assert Poly(c.a % 2 for c in lift.coeffs) == base
-            assert all(c.b == 0 for c in lift.coeffs)
+            assert Poly(c.a % 2 for c in coeffs(lift)) == base
+            assert all(c.b == 0 for c in coeffs(lift))
             _, r = poly_divmod(xn_minus_1(n), lift)
             assert r.is_zero
             product = product * lift

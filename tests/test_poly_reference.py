@@ -7,7 +7,7 @@ first, with the ring's own operators and nothing from ``z4udna.poly``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ref_divides, ref_divmod, ref_mod, trim
+from oracles import coeffs, ref_divides, ref_divmod, ref_mod, trim
 from z4udna.conditions import (
     check_rc_single,
     check_reversible_double,
@@ -79,30 +79,28 @@ def outcome(fn, *args):
 
 
 def divmod_outcome(f, g):
-    return outcome(lambda: tuple(p.coeffs for p in poly_divmod(Poly(f), Poly(g))))
+    return outcome(lambda: tuple(map(coeffs, poly_divmod(Poly(f), Poly(g)))))
 
 
 @given(st.lists(st.one_of(elems, st.integers(-20, 20)), max_size=10))
 def test_constructor_reads_ints_as_z4_constants(cs):
     expect = trim(c if isinstance(c, RingElem) else RingElem(c) for c in cs)
-    assert Poly(cs).coeffs == expect
+    assert coeffs(Poly(cs)) == expect
     assert Poly(cs).symbols == bytes(4 * c.a + c.b for c in expect)
-    if expect:
-        assert Poly(cs).lc() == expect[-1]
 
 
 @given(coeff_lists, coeff_lists)
 def test_add_sub_neg(f, g):
-    assert (Poly(f) + Poly(g)).coeffs == ref_add(f, g)
-    assert (Poly(f) - Poly(g)).coeffs == ref_add(f, [-c for c in g])
-    assert (-Poly(f)).coeffs == trim(-c for c in f)
+    assert coeffs(Poly(f) + Poly(g)) == ref_add(f, g)
+    assert coeffs(Poly(f) - Poly(g)) == ref_add(f, [-c for c in g])
+    assert coeffs(-Poly(f)) == trim(-c for c in f)
 
 
 @given(coeff_lists, coeff_lists, elems, st.integers(-9, 9))
 def test_mul_by_poly_element_and_int(f, g, m, i):
-    assert (Poly(f) * Poly(g)).coeffs == ref_mul(f, g)
-    assert (Poly(f) * m).coeffs == (m * Poly(f)).coeffs == trim(c * m for c in f)
-    assert (Poly(f) * i).coeffs == (i * Poly(f)).coeffs == trim(c * i for c in f)
+    assert coeffs(Poly(f) * Poly(g)) == ref_mul(f, g)
+    assert coeffs(Poly(f) * m) == coeffs(m * Poly(f)) == trim(c * m for c in f)
+    assert coeffs(Poly(f) * i) == coeffs(i * Poly(f)) == trim(c * i for c in f)
 
 
 # Operands as long as the lattice products at n = 63 (up to 64
@@ -117,7 +115,7 @@ long_lists = st.builds(lambda cs, lead: cs + [lead],
 @settings(deadline=None)
 @given(long_lists, long_lists)
 def test_mul_matches_reference_at_lattice_lengths(f, g):
-    assert (Poly(f) * Poly(g)).coeffs == ref_mul(f, g)
+    assert coeffs(Poly(f) * Poly(g)) == ref_mul(f, g)
 
 
 def test_mul_past_the_two_byte_slot():
@@ -126,17 +124,17 @@ def test_mul_past_the_two_byte_slot():
     number of pairs i + j = k, and the u part reaches 18 * 4000 > 2^16
     before it is reduced."""
     f = Poly([RingElem(3, 3)] * 4000)
-    assert (f * f).coeffs == tuple(min(k + 1, 7999 - k) * RingElem(1, 2) for k in range(7999))
+    assert coeffs(f * f) == tuple(min(k + 1, 7999 - k) * RingElem(1, 2) for k in range(7999))
 
 
 @given(coeff_lists, st.integers(0, 6))
 def test_shift(f, k):
-    assert Poly(f).shift(k).coeffs == trim([ZERO] * k + list(f))
+    assert coeffs(Poly(f).shift(k)) == trim([ZERO] * k + list(f))
 
 
 @given(coeff_lists, st.integers(1, 6))
 def test_mod_xn(f, n):
-    assert poly_mod_xn(Poly(f), n).coeffs == ref_mod(f, n)
+    assert coeffs(poly_mod_xn(Poly(f), n)) == ref_mod(f, n)
 
 
 @given(coeff_lists, st.one_of(unit_lc_lists, coeff_lists))
@@ -173,7 +171,7 @@ def test_division_errors_come_before_the_short_dividend():
         for g in (Poly.parse("1,1,2"), Poly.parse("3,0,0,u"), Poly.parse("2+3u")):
             with pytest.raises(NonUnitLeadingCoefficient) as non_unit:
                 poly_divmod(f, g)
-            assert str(non_unit.value) == f"leading coefficient {g.lc()} of divisor is not a unit"
+            assert str(non_unit.value) == f"leading coefficient {coeffs(g)[-1]} of divisor is not a unit"
     with pytest.raises(NonUnitLeadingCoefficient):
         divides(Poly.parse("1,1,2"), Poly([1]), 7)
 
@@ -182,7 +180,7 @@ def test_division_errors_come_before_the_short_dividend():
 def test_reciprocal_and_self_reciprocal_constant(f):
     """The solved constant equals the ordered 16-constant scan, also for
     non-unit leading coefficients and zero constant terms."""
-    assert outcome(lambda: reciprocal(Poly(f)).coeffs) == outcome(ref_reciprocal, f)
+    assert outcome(lambda: coeffs(reciprocal(Poly(f)))) == outcome(ref_reciprocal, f)
     assert (outcome(self_reciprocal_constant, Poly(f))
             == outcome(ref_self_reciprocal_constant, f))
 

@@ -1,12 +1,14 @@
 """Checks on the source tree and on the test configuration itself."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ROOT / "tests"
+PACKAGE = ROOT / "src" / "z4udna"
 
 FAILING_HYPOTHESIS_TEST = '''
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,62 @@ def test_every_imported_name_is_used():
              for path in sorted((ROOT / folder).glob("*.py")) if path.name != "__init__.py"]
     assert paths
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def _public_definitions(trees):
+    """(qualified name, defining node) of each public top-level function and
+    class of the package modules, and of each public non-dunder method or
+    property of those classes: ``poly.divides``, ``cyclic.Code.is_reversible``."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node
+                if isinstance(node, ast.ClassDef):
+                    yield from ((f"{module}.{node.name}.{member.name}", member)
+                                for member in node.body if isinstance(member, ast.FunctionDef)
+                                and not member.name.startswith("_"))
+
+
+def _tracer_targets():
+    """``module.attribute`` of each row of the tracer's SPAN_TARGETS and
+    COUNT_TARGETS, the wrappers a benchmark run calls."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    return {f"{row.elts[0].value}.{row.elts[1].value}"
+            for node in tree.body if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets] in (["SPAN_TARGETS"], ["COUNT_TARGETS"])
+            for row in node.value.elts}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # A public function, class, method or property that only tests call is
+    # test scaffolding: it belongs in tests/oracles.py.  The callers are
+    # the package (outside the name's own definition), the demos, the
+    # README quickstart and the benchmark harness, whose tracer calls each
+    # name it wraps.  A function or class is read as a name or as a module
+    # attribute, a method or property only as an attribute.
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quickstart = re.search(r"```python\n(.*?)```",
+                           readme.split("## Library quickstart", 1)[1], re.S).group(1)
+    callers = [*trees.values(), ast.parse(quickstart)]
+    callers += [ast.parse(path.read_text(), str(path)) for folder in ("demos", "perfbench")
+                for path in sorted((ROOT / folder).glob("*.py"))]
+    reads = [(node.id if isinstance(node, ast.Name) else node.attr,
+              isinstance(node, ast.Attribute), node)
+             for tree in callers for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    traced = _tracer_targets()
+    uncalled = []
+    for qualified, definition in _public_definitions(trees):
+        name = definition.name
+        is_member = qualified.count(".") == 2
+        inside = {id(node) for node in ast.walk(definition)}
+        if qualified not in traced and not any(
+                read == name and (as_attribute or not is_member) and id(node) not in inside
+                for read, as_attribute, node in reads):
+            uncalled.append(qualified)
+    assert uncalled == []
 
 
 def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):

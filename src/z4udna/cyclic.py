@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _dense
 from .errors import InvalidGenerators, TrivialCode, LengthMismatch
-from .poly import Poly, _remainder, poly_mod_xn, xn_minus_1
+from .poly import Poly, _divides, poly_mod_xn, xn_minus_1
 from .ring import CODON, GRAY, LEE, TEXT, RingElem, U
 
 DEFAULT_CAP = 1 << 20
@@ -76,16 +76,16 @@ def validate(gens: GeneratorSet) -> list[str]:
     modulus = xn_minus_1(n)
 
     def check_chain(small, big):
-        # Both divisions are literal and made only by a monic divisor.
+        # Both tests are literal and made only by a monic divisor.
         # Reduced mod x^n - 1, a big equal to x^n - 1 would be 0, which
         # every polynomial divides.
         low, high = getattr(gens, small), getattr(gens, big)
         for name, f in ((small, low), (big, high)):
             if not f.is_monic():
                 problems.append(f"{name} must be monic")
-        if high.is_monic() and _remainder(modulus.symbols, high.symbols).rstrip(b"\0"):
+        if high.is_monic() and not _divides(high.symbols, modulus.symbols):
             problems.append(f"{big} does not divide x^{n}-1")
-        if low.is_monic() and _remainder(high.symbols, low.symbols).rstrip(b"\0"):
+        if low.is_monic() and not _divides(low.symbols, high.symbols):
             problems.append(f"{small} does not divide {big}")
 
     check_chain("f2", "f1")

@@ -8,14 +8,15 @@ are monic).  Two byte kernels on symbol strings, one loop each, do the
 x^n - 1 work: ``_fold`` reduces mod x^n - 1 for ``poly_mod_xn``, and
 ``_remainder`` returns only a remainder's symbols.  ``poly_divmod`` hands
 it a quotient buffer; ``divides``, ``cyclic.validate`` and the T31-T42
-clauses of ``conditions`` test its remainder for zero.  Reducing x^n - 1
-by a lattice divisor takes about 9 us at n = 7 and 11, 22 and 125 us at
-n = 15, 21 and 63 (mean best per divisor, 2-vCPU shared VM).  The
-product of two polynomials is taken by Kronecker substitution: the Z4
-parts and the u parts of each operand are packed into Python ints, one
-fixed-width slot per coefficient, so three big-int products give a*c and
-a*d + b*c, and the low two bits of each slot are the coefficients of
-(a + ub)(c + ud) = ac + u(ad + bc).
+clauses of ``conditions`` test divisibility through ``_divides``, which
+answers a unit-constant divisor without dividing and otherwise tests the
+remainder for zero.  Reducing x^n - 1 by a lattice divisor takes about
+9 us at n = 7 and 11, 22 and 125 us at n = 15, 21 and 63 (mean best per
+divisor, 2-vCPU shared VM).  The product of two polynomials is taken by
+Kronecker substitution: the Z4 parts and the u parts of each operand are
+packed into Python ints, one fixed-width slot per coefficient, so three
+big-int products give a*c and a*d + b*c, and the low two bits of each
+slot are the coefficients of (a + ub)(c + ud) = ac + u(ad + bc).
 
 The distinct irreducible factors of x^n - 1 over F2 (squarefree for odd
 n) come in closed form from the 2-cyclotomic cosets mod n: each coset's
@@ -248,10 +249,14 @@ def divides(g: Poly, f: Poly, n: int) -> bool:
 
 
 def _divides(g: bytes, f: bytes) -> bool:
-    """Whether g | f, for canonical symbol strings reduced mod x^n - 1: a
-    zero g divides only a zero f, any other g leaves a zero remainder."""
+    """Whether g | f, for canonical symbol strings of any length, reduced
+    mod x^n - 1 or not (``cyclic.validate`` passes x^n - 1 itself): a zero
+    g divides only a zero f, a unit constant g divides every f without a
+    division, and any other g divides f when it leaves a zero remainder."""
     if not g:
         return not f
+    if len(g) == 1 and INV[g[0]]:
+        return True
     return not _remainder(f, g).rstrip(b"\0")
 
 

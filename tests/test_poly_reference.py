@@ -176,6 +176,25 @@ def test_division_errors_come_before_the_short_dividend():
         divides(Poly.parse("1,1,2"), Poly([1]), 7)
 
 
+@pytest.mark.parametrize("c", ALL_ELEMENTS, ids=str)
+@settings(deadline=None, max_examples=25)
+@given(st.one_of(coeff_lists, long_lists), st.sampled_from((7, 15, 21, 63)))
+def test_divides_by_a_constant(c, f, n):
+    """A unit constant divides every polynomial; a nonzero non-unit one
+    raises the division's error, also for a zero dividend; zero divides
+    only a zero residue."""
+    if c.is_unit():
+        assert divides(Poly([c]), Poly(f), n) is True
+    elif c:
+        for dividend in (Poly(f), Poly()):
+            with pytest.raises(NonUnitLeadingCoefficient) as excinfo:
+                divides(Poly([c]), dividend, n)
+            assert str(excinfo.value) == f"leading coefficient {c} of divisor is not a unit"
+    else:
+        assert divides(Poly([c]), Poly(f), n) is (not ref_mod(f, n))
+        assert divides(Poly([c]), Poly(), n) is True
+
+
 @given(any_lists)
 def test_reciprocal_and_self_reciprocal_constant(f):
     """The solved constant equals the ordered 16-constant scan, also for

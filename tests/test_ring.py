@@ -87,10 +87,30 @@ def test_complement_identities_exhaustive():
                 == x.complement() + y.complement() + z.complement() + two_wcc)
 
 
+def test_int_minus_element():
+    for x in ALL_ELEMENTS:
+        for i in range(-5, 6):
+            assert i - x == RingElem(i - x.a, -x.b)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda: Poly.parse("3,1") + 1.5,
+    lambda: Poly.parse("3,1") - "x",
+    lambda: Poly.parse("3,1") * 1.5,
+    lambda: RingElem(1, 2) + 1.5,
+    lambda: RingElem(1, 2) - 1.5,
+    lambda: 1.5 - RingElem(1, 2),
+], ids=["poly+float", "poly-str", "poly*float", "elem+float", "elem-float", "float-elem"])
+def test_operators_reject_other_types(operation):
+    with pytest.raises(TypeError):
+        operation()
+
+
 def test_equality_agrees_with_hash():
     # an int is not a ring element: RingElem(1) == 5 used to hold although
     # the two hashes differ
     assert RingElem(1) != 5 and RingElem(1) != 1 and 1 != RingElem(1)
+    assert (Poly.parse("3") == 3) is False
     values = list(ALL_ELEMENTS) + list(range(-4, 8))
     for a, b in itertools.product(values, repeat=2):
         if a == b:
@@ -159,6 +179,8 @@ def test_text_round_trip():
     assert str(RingElem(0, 2)) == "2u"
     assert str(RingElem(3, 2)) == "3+2u"
     assert str(RingElem(1, 1)) == "1+u"
+    assert repr(RingElem(1, 2)) == "RingElem(1, 2)"
+    assert repr(Poly.parse("3,1")) == "Poly('3,1')"
 
 
 @pytest.mark.parametrize("bad", ["", "4", "1u", "0+2u", "2+0u", "2+1u", "-1", "u2", " 1", "uu"])

@@ -50,6 +50,17 @@ def test_only_enumerate_code_builds_a_code():
     assert len(calls) == 1 and calls[0] in list(ast.walk(builder))
 
 
+def test_only_poly_names_the_division_kernel():
+    # poly._remainder is the one division loop, and every other module
+    # tests divisibility through poly._divides.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "poly.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if "_remainder" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None))]
+    assert found == []
+
+
 def _test_trees():
     return {path.name: ast.parse(path.read_text(), str(path))
             for path in sorted(TESTS.glob("*.py"))}

@@ -3,13 +3,13 @@ distinct rows of their span, which ``Code`` keeps as they are.
 
 A length-n word over the ring is a row of n symbol indices 4a + b, the
 same indices as ``Poly.symbols``.  Inside this module, and nowhere else, a
-word set is one sorted array of packed keys, a key to a word, 4 bits a
-symbol and big-endian, so key order is the lexicographic order of the rows
-(the canonical word order).  A uint64 key holds up to 16 symbols, a Python
-int in an object array more.  The 4 bits of symbol 4a + b are two 2-bit
-Z4 lanes, a above b, and ring addition is Z4 addition in each lane, so
-packed words add lane-wise with no table (``_add_keys``), under lane masks
-of the key's own type; nothing else depends on the width.
+word set is one sorted array of packed keys, a key to a word: its symbols
+as big-endian nibbles, left-padded into ceil(n/16) 64-bit words, held as
+one uint64 for one word and as an ``np.void`` of their bytes for more, so
+key order is the lexicographic order of the rows (the canonical order).
+The 4 bits of symbol 4a + b are two 2-bit Z4 lanes, a above b, and ring
+addition is Z4 addition in each lane, so keys add lane-wise on their
+64-bit words with no table (``_add_keys``).
 """
 
 from __future__ import annotations
@@ -19,55 +19,47 @@ import numpy as np
 from .errors import CapExceeded
 from .ring import MUL
 
-_PACK_LIMIT = 16  # max word width (symbols) that fits one uint64 key
+# the low and the high bit of every 2-bit Z4 lane of a 64-bit word, which
+# read the same in either byte order
+_LOW = np.uint64(0x5555555555555555)
+_HIGH = np.uint64(0xAAAAAAAAAAAAAAAA)
 
 _MUL16 = np.frombuffer(MUL, dtype=np.uint8).reshape(16, 16)
 
 
-def _key_type(width: int):
-    """The key dtype for words of ``width`` symbols, and the low and the
-    high bit of each of its 2-bit Z4 lanes."""
-    low, high = int("5" * width, 16), int("a" * width, 16)
-    if width <= _PACK_LIMIT:
-        return np.uint64, np.uint64(low), np.uint64(high)
-    return object, low, high
-
-
 def _pack(rows: np.ndarray) -> np.ndarray:
     """One key per row."""
-    width = rows.shape[1]
-    dtype = _key_type(width)[0]
-    keys = np.zeros(rows.shape[0], dtype=dtype)
-    for k in range(width):
-        keys |= rows[:, k].astype(dtype) << (4 * (width - 1 - k))
-    return keys
+    count, width = rows.shape
+    nibbles = np.zeros((count, width + -width % 16), dtype=np.uint8)
+    nibbles[:, -width:] = rows
+    octets = nibbles[:, 0::2] << 4 | nibbles[:, 1::2]
+    dtype = np.dtype(np.uint64 if octets.shape[1] == 8 else (np.void, octets.shape[1]))
+    return octets.view(dtype.newbyteorder(">"))[:, 0].astype(dtype)
 
 
 def _unpack(keys: np.ndarray, width: int) -> np.ndarray:
     """The rows of ``width`` symbols that ``keys`` pack."""
-    if keys.dtype == object:
-        # each Python int read once, as big-endian bytes of two symbols
-        # each, behind one zero nibble when the width is odd
-        size = (width + 1) // 2
-        data = b"".join([k.to_bytes(size, "big") for k in keys.tolist()])
-        octets = np.frombuffer(data, dtype=np.uint8).reshape(keys.size, size)
-        nibbles = np.stack((octets >> 4, octets & 15), axis=2).reshape(keys.size, 2 * size)
-        return np.ascontiguousarray(nibbles[:, 2 * size - width:])
-    rows = np.empty((keys.size, width), dtype=np.uint8)
-    for k in range(width):
-        rows[:, k] = (keys >> (4 * (width - 1 - k))) & 15
-    return rows
+    octets = keys.astype(keys.dtype.newbyteorder(">")).view(np.uint8).reshape(keys.size, -1)
+    nibbles = np.stack((octets >> 4, octets & 15), axis=2).reshape(keys.size, -1)
+    return np.ascontiguousarray(nibbles[:, -width:])
 
 
-def _add_keys(keys: np.ndarray, d, low, high) -> np.ndarray:
-    """The packed word ``d`` added to every packed word of ``keys``.
+def _lanes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and the high lane bits of ``keys``: a row of 64-bit words a key."""
+    words = keys.view(np.uint64).reshape(keys.size, -1)
+    return words & _LOW, words & _HIGH
 
-    ``low`` and ``high`` are the lane masks of ``_key_type``.  In each lane
-    the low bits add, their carry landing in the lane's high bit, and the
-    high bit also takes the xor of both high bits; no carry leaves a lane,
-    so this is Z4 addition in all lanes at once.
+
+def _add_keys(lanes, d, dtype: np.dtype) -> np.ndarray:
+    """The keys of ``dtype`` whose ``_lanes`` are ``lanes``, each plus the
+    one key whose lanes are ``d``.
+
+    In each lane the low bits add, their carry landing in the lane's high
+    bit, and the high bit also takes the xor of both high bits; no carry
+    leaves a lane, so this is Z4 addition in all lanes at once.
     """
-    return ((keys & low) + (d & low)) ^ ((keys ^ d) & high)
+    (low, high), (d_low, d_high) = lanes, d
+    return ((low + d_low) ^ high ^ d_high).view(dtype).reshape(-1)
 
 
 def span_closure(vectors, cap: int) -> np.ndarray:
@@ -88,20 +80,21 @@ def span_closure(vectors, cap: int) -> np.ndarray:
     end.
     """
     vectors = np.asarray(vectors, dtype=np.uint8)
-    width = vectors.shape[1]
-    dtype, low, high = _key_type(width)
-    keys = np.zeros(1, dtype=dtype)
+    keys = _pack(np.zeros((1, vectors.shape[1]), dtype=np.uint8))
     for v in vectors:
-        acc = keys
-        for d in np.unique(_pack(_MUL16[:, v])):
+        acc, lanes = keys, None
+        multiples = np.unique(_pack(_MUL16[:, v]))
+        for j, d in enumerate(multiples):
             i = acc.searchsorted(d)
             if i < acc.size and acc[i] == d:
                 continue  # the union holds the whole coset S + d
             size = acc.size + keys.size
             if size > cap:
                 raise CapExceeded(f"code grew past cap={cap}")
-            acc = np.union1d(acc, _add_keys(keys, d, low, high))
+            if lanes is None:  # a vector already in the span needs none
+                lanes, (d_low, d_high) = _lanes(keys), _lanes(multiples)
+            acc = np.union1d(acc, _add_keys(lanes, (d_low[j], d_high[j]), keys.dtype))
             if acc.size != size:
                 raise RuntimeError("a span closure merge did not add one whole coset")
         keys = acc
-    return _unpack(keys, width)
+    return _unpack(keys, vectors.shape[1])

@@ -10,7 +10,7 @@ before each merge, so no set larger than the cap is ever built.
 ``enumerate_code`` alone builds a ``Code``, so every code is an ideal of
 R[x]/(x^n - 1), and its minimum distance is its minimum nonzero weight.
 A code holds the sorted rows of its words, which ``_dense.span_closure``
-returns; the packed keys that the closure works on stay inside ``_dense``.
+returns; only this module imports ``_dense``, which alone knows its keys.
 """
 
 from __future__ import annotations

@@ -275,9 +275,9 @@ def test_span_closure_rejects_a_merge_that_is_not_one_whole_coset(monkeypatch):
 
 
 def test_cap_bounds_memory_of_wide_rows():
-    # n = 21 packs words into Python-int keys; one translate is merged at a
-    # time and the cap is decided before each merge, so no set larger than
-    # the cap is built, let alone all 16 translates of it
+    # n = 21 packs words into two-word np.void keys; one translate is merged
+    # at a time and the cap is decided before each merge, so no set larger
+    # than the cap is built, let alone all 16 translates of it
     x_minus_1 = Poly.parse("3,1")
     tracemalloc.start()
     try:
@@ -417,8 +417,8 @@ def test_export_is_deterministic():
 
 
 def test_enumerate_length21_uses_wide_rows():
-    # n = 21 symbols exceeds the 16 symbols of a uint64 key, so the words
-    # are Python-int keys end to end
+    # n = 21 symbols exceeds the 16 symbols of one 64-bit key word, so the
+    # words are two-word np.void keys end to end
     ones = Poly([1] * 21)
     assert poly_divmod(xn_minus_1(21), Poly.parse("3,1")) == (ones, Poly())
     gens = GeneratorSet(21, ones, ones)
@@ -433,7 +433,7 @@ def test_enumerate_length21_uses_wide_rows():
 
 
 def test_enumerate_length73_constant_code():
-    # 73 symbols make a 292-bit key, far past one uint64
+    # 73 symbols make a key of five 64-bit words
     ones = Poly([1] * 73)
     assert poly_divmod(xn_minus_1(73), Poly.parse("3,1")) == (ones, Poly())
     code = enumerate_code(GeneratorSet(73, ones, ones))
@@ -442,6 +442,19 @@ def test_enumerate_length73_constant_code():
     assert words_of([(3, 3)] * 72 + [(3, 2)]) not in code
     assert code.is_dna_code()
     assert code.min_hamming_distance() == 73
+
+
+@pytest.mark.parametrize("n", [33, 63])
+def test_enumerate_multiword_keys_matches_the_multiples_of_g(n):
+    # 33 symbols are the first length whose key takes three 64-bit words.
+    # g = (x^n - 1)/(x^2 + x + 1) generates the ideal of the multiples
+    # m*g with deg m <= 1, 256 words, built here from Poly products
+    g = Poly.parse(",".join(["3,1,0"] * (n // 3 - 1) + ["3,1"]))
+    assert poly_divmod(xn_minus_1(n), Poly.parse("1,1,1")) == (g, Poly())
+    expected = {word_from_poly(Poly([m0, m1]) * g, n)
+                for m0 in ALL_ELEMENTS for m1 in ALL_ELEMENTS}
+    assert len(expected) == 256
+    assert words(enumerate_code(GeneratorSet(n, g, g))) == _sorted_set(expected)
 
 
 def test_membership_and_word_to_row():
@@ -473,8 +486,9 @@ def test_membership_matches_the_ideal_oracle(n, seed, data):
 # Symbol-row kernels against RingElem reference code
 # ---------------------------------------------------------------------------
 
-# both sides of the 16-symbol packed-key limit of _dense
-LENGTHS = (1, 3, 15, 16, 17, 21)
+# both sides of the one-, two- and three-word key boundaries of _dense
+# (16/17 and 32/33 symbols)
+LENGTHS = (1, 3, 15, 16, 17, 21, 32, 33)
 
 elements = st.builds(RingElem, st.integers(0, 3), st.integers(0, 3))
 
@@ -561,9 +575,10 @@ def test_translates_are_symbolwise_sums(case, data):
                                 min_size=1, max_size=4))
     expected = _sorted_set(tuple(x + y for x, y in zip(w, d))
                            for w in words for d in deltas)
-    _, low, high = _dense._key_type(n)
     keys = np.unique(_dense._pack(_rows(words)))
-    translates = [_dense._add_keys(keys, d, low, high) for d in _dense._pack(_rows(deltas))]
+    d_low, d_high = _dense._lanes(_dense._pack(_rows(deltas)))
+    translates = [_dense._add_keys(_dense._lanes(keys), d, keys.dtype)
+                  for d in zip(d_low, d_high)]
     assert _words(_dense._unpack(np.unique(np.concatenate(translates)), n)) == expected
 
 
@@ -703,8 +718,9 @@ def test_no_odd_length_word_is_its_own_reverse_complement(data):
 # The rows of a Code: binary-search lookup and shift closure, at every width
 # ---------------------------------------------------------------------------
 
-# both sides of the 16-symbol packed-key limit of _dense, and past 64
-ROW_WIDTHS = (1, 2, 3, 15, 16, 17, 21, 63, 80)
+# both sides of the one-, two- and three-word key boundaries of _dense,
+# and past 64
+ROW_WIDTHS = (1, 2, 3, 15, 16, 17, 21, 32, 33, 63, 80)
 
 
 @st.composite
@@ -752,7 +768,8 @@ def test_shift_closure_agrees_with_set_comparison(rows):
 
 _ADD16 = np.frombuffer(ADD, dtype=np.uint8).reshape(16, 16)
 
-# across the uint64/Python-int key boundary at 16/17 symbols and past 64
+# across every 64-bit word boundary of a key (16/17, 32/33, 48/49 and
+# 64/65 symbols) and past it
 WIDE = st.integers(1, 80)
 
 
@@ -768,12 +785,19 @@ def rows_and_delta(draw, max_rows=12):
 @given(rows_and_delta())
 @example((np.full((1, 16), 15, dtype=np.uint8), np.full(16, 15, dtype=np.uint8)))
 @example((np.full((1, 17), 15, dtype=np.uint8), np.full(17, 15, dtype=np.uint8)))
+@example((np.full((1, 32), 15, dtype=np.uint8), np.full(32, 15, dtype=np.uint8)))
+@example((np.full((1, 33), 15, dtype=np.uint8), np.full(33, 15, dtype=np.uint8)))
+@example((np.full((1, 48), 15, dtype=np.uint8), np.full(48, 15, dtype=np.uint8)))
+@example((np.full((1, 49), 15, dtype=np.uint8), np.full(49, 15, dtype=np.uint8)))
+@example((np.full((1, 64), 15, dtype=np.uint8), np.full(64, 15, dtype=np.uint8)))
+@example((np.full((1, 65), 15, dtype=np.uint8), np.full(65, 15, dtype=np.uint8)))
 @example((np.full((1, 80), 15, dtype=np.uint8), np.full(80, 15, dtype=np.uint8)))
 def test_key_addition_is_symbolwise_ring_addition(case):
     # all-15 words set every bit of their keys, so every lane mask bit counts
     rows, d = case
-    _, low, high = _dense._key_type(d.size)
-    keys = _dense._add_keys(_dense._pack(rows), _dense._pack(d.reshape(1, -1))[0], low, high)
+    keys = _dense._pack(rows)
+    d_lanes = _dense._lanes(_dense._pack(d.reshape(1, -1)))
+    keys = _dense._add_keys(_dense._lanes(keys), d_lanes, keys.dtype)
     assert np.array_equal(keys, _dense._pack(_ADD16[rows, d]))
     assert np.array_equal(_dense._unpack(keys, d.size), _ADD16[rows, d])
 
@@ -794,9 +818,9 @@ def test_key_span_closure_matches_oracle_on_shuffled_vectors(n, seed):
     merged = []
     add_keys = _dense._add_keys
 
-    def counted(keys, d, *masks):
+    def counted(lanes, d, dtype):
         merged.append(d)
-        return add_keys(keys, d, *masks)
+        return add_keys(lanes, d, dtype)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_dense, "_add_keys", counted)
@@ -819,9 +843,9 @@ def test_span_closure_skips_vectors_already_in_the_span(monkeypatch):
     calls = []
     add_keys = _dense._add_keys
 
-    def counted(keys, d, *masks):
+    def counted(lanes, d, dtype):
         calls.append(d)
-        return add_keys(keys, d, *masks)
+        return add_keys(lanes, d, dtype)
 
     monkeypatch.setattr(_dense, "_add_keys", counted)
     v = word_to_row(words_of([1, 2, 3, 0, 5]))

@@ -61,6 +61,21 @@ def test_only_poly_names_the_division_kernel():
     assert found == []
 
 
+def test_only_cyclic_imports_dense():
+    # The key format of the span closure is _dense's own: cyclic hands it
+    # rows and takes rows back, and no other module imports it.
+    def names(node):
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".") + [alias.name for alias in node.names]
+        return [part for alias in node.names for part in alias.name.split(".")]
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "cyclic.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and "_dense" in names(node)]
+    assert found == []
+
+
 def _test_trees():
     return {path.name: ast.parse(path.read_text(), str(path))
             for path in sorted(TESTS.glob("*.py"))}

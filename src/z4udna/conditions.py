@@ -10,6 +10,11 @@ Four named condition sets are evaluated on a generator tuple:
   what differs by form (the clause (a) list and the texts), and only the
   (b)(ii) branch differs in logic.  The (b) clauses run on symbol strings
   through ``poly``'s kernels, building no ``Poly`` but the unit-factor note's.
+  (b)(ii) asks whether f2 (T31) or f4 (T32) divides 2h, h = x^j*f14* + f14,
+  or 2(h + f2), and is decided on F2 parity masks by
+  ``poly._divides_twice``: for a divisor g with a unit lead,
+  2h mod g = 2(h mod g), and a monic divisor of x^n - 1 has no u part, so
+  g | 2(A + uB) iff g mod 2 divides A mod 2 and B mod 2 over F2.
 * ``T41`` / ``T42``: T31 / T32 plus membership of the word with every
   symbol 3+3u, which is the reverse-complement of the zero word, added by
   ``_with_membership``.  Membership is decided from f1(1) being a unit,
@@ -45,22 +50,19 @@ from .errors import CapExceeded, WrongForm
 from .poly import (
     Poly,
     _add,
-    _divides,
+    _divides_twice,
     _fold,
     _poly,
     constant_factor,
     factor_xn_minus_1_z4,
     self_reciprocal_constant,
 )
-from .ring import ALL_ELEMENTS, SCALE, RingElem, UNITS
+from .ring import ALL_ELEMENTS, RingElem, UNITS
 
 PROPERTIES = ("reversible", "rc_closed")
 
 # Symbol indices of the units other than 1, in canonical element order.
 _UNITS_BUT_ONE = bytes(m.index for m in UNITS[1:])  # UNITS[0] is 1
-
-# bytes.translate table doubling each symbol: 2 is symbol 8 (2 + 0u).
-_TWO = SCALE[8]
 
 # T31 and T32: the theorem, the polynomials clause (a) requires to be
 # self-reciprocal, the WrongForm message and the (b)(ii) failure.
@@ -123,25 +125,28 @@ def _check(gens: GeneratorSet, double: bool) -> ConditionReport:
         if m is not None:
             notes.append(f"(b)(i) holds up to the unit factor m={ALL_ELEMENTS[m]}")
     # (b)(ii) works on x^j*f14* reduced and on f14, which validate keeps
-    # below degree n; f14 = 0 leaves j None and the dividend
-    # 2x^j*f14* + 2f14 zero
+    # below degree n; f14 = 0 leaves j None and h = x^j*f14* + f14 zero.
+    # Its dividends are 2h and 2(h + f2), each tested by _divides_twice on
+    # F2 parity masks: the divisor g, f2 or f4 reduced, is zero or a monic
+    # divisor of x^n - 1, which has no u part, and a unit lead makes
+    # 2h mod g = 2(h mod g), zero iff h mod g is zero mod 2.
     j, shifted = None, f14
     if f14:
         j = len(f1) - len(f14)
         if j < 0:
             notes.append("j < 0 (deg f14 exceeds deg f1); exponent taken mod n")
         shifted = _fold((bytes(j % n) + f14[::-1]).rstrip(b"\0"), n)
-    dividend = _add(shifted, f14).translate(_TWO).rstrip(b"\0")
+    h = _add(shifted, f14)
     branch = None
     if double:
         f4 = _fold(gens.f4.symbols, n)
-        if _divides(f4, dividend):
+        if _divides_twice(f4, h):
             branch = "div-f14" if j is not None else "vacuous"
-        elif _divides(f4, _add(dividend, rhs.translate(_TWO)).rstrip(b"\0")):
+        elif _divides_twice(f4, _add(h, rhs)):
             branch = "div-f14-plus-f2"
     elif j is None or shifted == f14:
         branch = "vacuous" if j is None else "equality"
-    elif _divides(rhs, dividend):
+    elif _divides_twice(rhs, h):
         branch = "divisibility"
     if branch is None:
         failures.append(b2_failure)

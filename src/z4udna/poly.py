@@ -7,24 +7,30 @@ is all the divisibility conditions downstream ever need (their divisors
 are monic).  Two byte kernels on symbol strings, one loop each, do the
 x^n - 1 work: ``_fold`` reduces mod x^n - 1 for ``poly_mod_xn``, and
 ``_remainder`` returns only a remainder's symbols.  ``poly_divmod`` hands
-it a quotient buffer; ``divides``, ``cyclic.validate`` and the T31-T42
-clauses of ``conditions`` test divisibility through ``_divides``, which
-answers a unit-constant divisor without dividing and otherwise tests the
-remainder for zero.  Reducing x^n - 1 by a lattice divisor takes about
-9 us at n = 7 and 11, 22 and 125 us at n = 15, 21 and 63 (mean best per
-divisor, 2-vCPU shared VM).  The product of two polynomials is taken by
-Kronecker substitution: the Z4 parts and the u parts of each operand are
-packed into Python ints, one fixed-width slot per coefficient, so three
-big-int products give a*c and a*d + b*c, and the low two bits of each
-slot are the coefficients of (a + ub)(c + ud) = ac + u(ad + bc).
+it a quotient buffer.  ``_divides`` has two callers, ``divides`` and the
+chain tests of ``cyclic.validate``; it answers a unit-constant divisor
+without dividing and otherwise tests the remainder for zero.  Clause
+(b)(ii) of the T31-T42 conditions of ``conditions`` only asks whether a
+monic divisor of x^n - 1, which has no u part, divides an even dividend
+2h; ``_divides_twice`` answers that over F2, on the parities of h and of
+the divisor, and divides nothing over R.  Reducing x^n - 1 by a lattice
+divisor takes about 9 us at n = 7 and 11, 22 and 125 us at n = 15, 21 and
+63 (mean best per divisor, 2-vCPU shared VM).  The product of two
+polynomials is taken by Kronecker substitution: the Z4 parts and the u
+parts of each operand are packed into Python ints, one fixed-width slot
+per coefficient, so three big-int products give a*c and a*d + b*c, and
+the low two bits of each slot are the coefficients of
+(a + ub)(c + ud) = ac + u(ad + bc).
 
 The distinct irreducible factors of x^n - 1 over F2 (squarefree for odd
 n) come in closed form from the 2-cyclotomic cosets mod n: each coset's
 indicator is an idempotent, and gcds with the indicators split x^n - 1
-into one factor per coset.  The factors are returned as ``Poly``s with
-coefficients 0 and 1, and each is lifted to Z4 by one Graeffe step: split
-f into even and odd parts f(x) = e(x^2) + x*o(x^2) and read the lift off
-``+-(e(y)^2 - y*o(y)^2)`` with the sign fixed so the result is monic.
+into one factor per coset.  ``_f2_mod``, the F2 remainder on bitmasks,
+serves this factoring and the (b)(ii) test of ``_divides_twice``.  The
+factors are returned as ``Poly``s with coefficients 0 and 1, and each is
+lifted to Z4 by one Graeffe step: split f into even and odd parts
+f(x) = e(x^2) + x*o(x^2) and read the lift off ``+-(e(y)^2 - y*o(y)^2)``
+with the sign fixed so the result is monic.
 """
 
 from __future__ import annotations
@@ -308,6 +314,37 @@ def _f2_mod(a: int, m: int) -> int:
     while a.bit_length() >= dm:
         a ^= m << (a.bit_length() - dm)
     return a
+
+
+# bytes.translate tables: the parities of the Z4 part a and the u part b
+# of a symbol 4a + b, one byte each.
+_Z4_PARITY = bytes(k >> 2 & 1 for k in range(256))
+_U_PARITY = bytes(k & 1 for k in range(256))
+
+
+def _divides_twice(g: bytes, h: bytes) -> bool:
+    """Whether g | 2h, for a canonical symbol string g that is zero or has
+    a unit lead and no u part, as every monic divisor of x^n - 1 has, and
+    any symbol string h.
+
+    A unit lead makes division by g R-linear, so 2h mod g = 2(h mod g),
+    which is zero iff h mod g is zero mod 2.  With no u part in g, h mod g
+    is A mod g + u(B mod g) for h = A + uB, so g | 2h iff g mod 2 divides
+    both A mod 2 and B mod 2 over F2.  Each parity is a byte-spaced mask
+    (bit 8k the coefficient of x^k), which ``_f2_mod`` reduces as it is:
+    the bit lengths of two such masks differ by a multiple of 8.  A zero g
+    divides only an h that is zero mod 2.
+    """
+    if g.translate(None, b"\0\4\10\14") or g and not INV[g[-1]]:
+        raise RuntimeError(f"divisor {_poly(g)} is not zero or of unit lead without a u part")
+    if len(g) == 1:  # a unit constant divides every h
+        return True
+    a = int.from_bytes(h.translate(_Z4_PARITY), "little")
+    b = int.from_bytes(h.translate(_U_PARITY), "little")
+    m = int.from_bytes(g.translate(_Z4_PARITY), "little")
+    if not m:  # g is zero, as a unit lead makes any other g's mask nonzero
+        return not a | b
+    return not _f2_mod(a, m) and not _f2_mod(b, m)
 
 
 def _f2_gcd(a: int, b: int) -> int:

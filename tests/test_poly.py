@@ -1,10 +1,13 @@
 """Polynomial arithmetic, reciprocals, factorization and lifting."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import coeffs
+from z4udna.conditions import _divisor_lattice
 from z4udna.errors import (
     NonUnitLeadingCoefficient,
     NotAFactor,
@@ -13,6 +16,11 @@ from z4udna.errors import (
 )
 from z4udna.poly import (
     Poly,
+    _add,
+    _divides,
+    _divides_twice,
+    _fold,
+    _poly,
     divides,
     factor_xn_minus_1_f2,
     factor_xn_minus_1_z4,
@@ -23,7 +31,7 @@ from z4udna.poly import (
     self_reciprocal_constant,
     xn_minus_1,
 )
-from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS
+from z4udna.ring import ALL_ELEMENTS, SCALE, RingElem, UNITS
 
 G2 = Poly.parse("3,1,2,1")   # x^3+2x^2+x-1
 G3 = Poly.parse("3,2,3,1")   # x^3-x^2-2x-1
@@ -97,6 +105,55 @@ def test_divides():
     # divisor congruent to zero divides only the zero residue
     assert divides(xn_minus_1(3), xn_minus_1(3), 3)
     assert not divides(xn_minus_1(3), Poly([1]), 3)
+
+
+@functools.cache
+def reduced_divisors(n):
+    """The lattice divisors of x^n - 1 reduced mod x^n - 1, as the T31/T32
+    clauses reduce f2 and f4: the constant 1 first and x^n - 1, folded to
+    zero, last; at n = 21 and 63 those two around 30 seeded others."""
+    divisors = [_fold(g.symbols, n) for g in _divisor_lattice(n)]
+    if n in (21, 63):
+        divisors[1:-1] = random.Random(n).sample(divisors[1:-1], 30)
+    return divisors
+
+
+def double(h):
+    return h.translate(SCALE[8]).rstrip(b"\0")  # 2 is symbol 8
+
+
+def test_reduced_divisors_run_from_one_to_zero():
+    for n in (3, 5, 7, 9, 15, 21, 63):
+        divisors = reduced_divisors(n)
+        assert divisors[0] == b"\4" and divisors[-1] == b""
+        assert len(divisors) == (32 if n in (21, 63) else len(_divisor_lattice(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 5, 7, 9, 15, 21, 63)), st.data())
+def test_divides_twice_matches_division_over_the_ring(n, data):
+    # h is any symbol string below degree n, as the clauses' h is; g*q + 2r
+    # is one whose double every g divides, so both answers are exercised.
+    symbols = st.lists(st.integers(0, 15), max_size=n).map(bytes)
+    h, q, r = data.draw(symbols), data.draw(symbols), data.draw(symbols)
+    for g in reduced_divisors(n):
+        assert _divides_twice(g, h) == _divides(g, double(h))
+        multiple = _add((_poly(g) * _poly(q)).symbols, r.translate(SCALE[8]))
+        assert _divides_twice(g, multiple) and _divides(g, double(multiple))
+
+
+def test_divides_twice_by_zero_and_by_one():
+    # zero divides 2h only when h is zero mod 2; the constant 1 divides all
+    assert _divides_twice(b"", b"") and _divides_twice(b"", b"\2\10\12\0")
+    assert not _divides_twice(b"", b"\10\1") and not _divides_twice(b"", b"\4")
+    assert all(_divides_twice(b"\4", bytes([k])) for k in range(16))
+
+
+@pytest.mark.parametrize("g", [b"\1", b"\1\4", b"\4\5", b"\4\10"])
+def test_divides_twice_refuses_a_u_part_or_a_non_unit_lead(g):
+    # u, u + x and 1 + (1+u)x have a u part; 1 + 2x has a non-unit lead
+    with pytest.raises(RuntimeError):
+        _divides_twice(g, b"\4")
 
 
 def test_reciprocal():

@@ -52,7 +52,7 @@ def test_only_enumerate_code_builds_a_code():
 
 def test_only_poly_names_the_division_kernel():
     # poly._remainder is the one division loop, and every other module
-    # tests divisibility through poly._divides.
+    # tests divisibility through poly._divides or poly._divides_twice.
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "poly.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))

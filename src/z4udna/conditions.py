@@ -14,7 +14,9 @@ Four named condition sets are evaluated on a generator tuple:
   or 2(h + f2), and is decided on F2 parity masks by
   ``poly._divides_twice``: for a divisor g with a unit lead,
   2h mod g = 2(h mod g), and a monic divisor of x^n - 1 has no u part, so
-  g | 2(A + uB) iff g mod 2 divides A mod 2 and B mod 2 over F2.
+  g | 2(A + uB) iff g mod 2 divides A mod 2 and B mod 2 over F2.  The
+  clause reads h and h + f2 only through their parities, which add by
+  XOR: it takes the masks of x^j*f14*, f14 and f2 and builds no sum.
 * ``T41`` / ``T42``: T31 / T32 plus membership of the word with every
   symbol 3+3u, which is the reverse-complement of the zero word, added by
   ``_with_membership``.  Membership is decided from f1(1) being a unit,
@@ -49,9 +51,9 @@ from .cyclic import (
 from .errors import CapExceeded, WrongForm
 from .poly import (
     Poly,
-    _add,
     _divides_twice,
     _fold,
+    _parity_mask,
     _poly,
     constant_factor,
     factor_xn_minus_1_z4,
@@ -126,27 +128,28 @@ def _check(gens: GeneratorSet, double: bool) -> ConditionReport:
             notes.append(f"(b)(i) holds up to the unit factor m={ALL_ELEMENTS[m]}")
     # (b)(ii) works on x^j*f14* reduced and on f14, which validate keeps
     # below degree n; f14 = 0 leaves j None and h = x^j*f14* + f14 zero.
-    # Its dividends are 2h and 2(h + f2), each tested by _divides_twice on
-    # F2 parity masks: the divisor g, f2 or f4 reduced, is zero or a monic
-    # divisor of x^n - 1, which has no u part, and a unit lead makes
-    # 2h mod g = 2(h mod g), zero iff h mod g is zero mod 2.
+    # Its dividends are 2h and 2(h + f2), and _divides_twice reads each
+    # through its parity mask alone: the divisor g, f2 or f4 reduced, is
+    # zero or a monic divisor of x^n - 1, which has no u part, and a unit
+    # lead makes 2h mod g = 2(h mod g), zero iff h mod g is zero mod 2.
+    # Parities add by XOR, so no sum is built.
     j, shifted = None, f14
     if f14:
         j = len(f1) - len(f14)
         if j < 0:
             notes.append("j < 0 (deg f14 exceeds deg f1); exponent taken mod n")
         shifted = _fold((bytes(j % n) + f14[::-1]).rstrip(b"\0"), n)
-    h = _add(shifted, f14)
     branch = None
     if double:
         f4 = _fold(gens.f4.symbols, n)
+        h = _parity_mask(shifted) ^ _parity_mask(f14)
         if _divides_twice(f4, h):
             branch = "div-f14" if j is not None else "vacuous"
-        elif _divides_twice(f4, _add(h, rhs)):
+        elif _divides_twice(f4, h ^ _parity_mask(rhs)):
             branch = "div-f14-plus-f2"
     elif j is None or shifted == f14:
         branch = "vacuous" if j is None else "equality"
-    elif _divides_twice(rhs, h):
+    elif _divides_twice(rhs, _parity_mask(shifted) ^ _parity_mask(f14)):
         branch = "divisibility"
     if branch is None:
         failures.append(b2_failure)

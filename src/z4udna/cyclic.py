@@ -7,6 +7,9 @@ exact span closure over all cyclic shifts of the generators, capped so a
 runaway instance fails loudly instead of thrashing.  The cap is decided
 before each merge, so no set larger than the cap is ever built.
 
+``validate`` runs on every check and enumeration; it divides symbol
+strings, x^n - 1 included, and builds no ``Poly``.
+
 ``enumerate_code`` alone builds a ``Code``, so every code is an ideal of
 R[x]/(x^n - 1), and its minimum distance is its minimum nonzero weight.
 A code holds the sorted rows of its words, which ``_dense.span_closure``
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import _dense
 from .errors import InvalidGenerators, TrivialCode, LengthMismatch
-from .poly import Poly, _divides, poly_mod_xn, xn_minus_1
+from .poly import Poly, _divides, _xn_minus_1, poly_mod_xn
 from .ring import CODON, GRAY, LEE, TEXT, RingElem, U
 
 DEFAULT_CAP = 1 << 20
@@ -73,27 +76,28 @@ def validate(gens: GeneratorSet) -> list[str]:
     if n < 1 or n % 2 == 0:
         problems.append("n must be odd and positive")
         return problems
-    modulus = xn_minus_1(n)
-
-    def check_chain(small, big):
+    modulus = _xn_minus_1(n)
+    paired = (gens.f3 is None) == (gens.f4 is None)
+    chains = [("f2", gens.f2, "f1", gens.f1)]
+    if paired and gens.f3 is not None:
+        chains.append(("f4", gens.f4, "f3", gens.f3))
+    for small, low, big, high in chains:
         # Both tests are literal and made only by a monic divisor.
         # Reduced mod x^n - 1, a big equal to x^n - 1 would be 0, which
         # every polynomial divides.
-        low, high = getattr(gens, small), getattr(gens, big)
-        for name, f in ((small, low), (big, high)):
-            if not f.is_monic():
-                problems.append(f"{name} must be monic")
-        if high.is_monic() and not _divides(high.symbols, modulus.symbols):
+        low_monic, high_monic = low.is_monic(), high.is_monic()
+        low, high = low.symbols, high.symbols
+        if not low_monic:
+            problems.append(f"{small} must be monic")
+        if not high_monic:
+            problems.append(f"{big} must be monic")
+        if high_monic and not _divides(high, modulus):
             problems.append(f"{big} does not divide x^{n}-1")
-        if low.is_monic() and not _divides(low.symbols, high.symbols):
+        if low_monic and not _divides(low, high):
             problems.append(f"{small} does not divide {big}")
-
-    check_chain("f2", "f1")
-    if (gens.f3 is None) != (gens.f4 is None):
+    if not paired:
         problems.append("f3 and f4 must be given together")
-    elif gens.f3 is not None:
-        check_chain("f4", "f3")
-    if not gens.f14.is_zero and gens.f14.degree >= n:
+    if len(gens.f14.symbols) > n:  # deg f14 >= n
         problems.append("f14 must have degree < n")
     return problems
 

@@ -8,18 +8,20 @@ are monic).  Two byte kernels on symbol strings, one loop each, do the
 x^n - 1 work: ``_fold`` reduces mod x^n - 1 for ``poly_mod_xn``, and
 ``_remainder`` returns only a remainder's symbols.  ``poly_divmod`` hands
 it a quotient buffer.  ``_divides`` has two callers, ``divides`` and the
-chain tests of ``cyclic.validate``; it answers a unit-constant divisor
-without dividing and otherwise tests the remainder for zero.  Clause
-(b)(ii) of the T31-T42 conditions of ``conditions`` only asks whether a
-monic divisor of x^n - 1, which has no u part, divides an even dividend
-2h; ``_divides_twice`` answers that over F2, on the parities of h and of
-the divisor, and divides nothing over R.  Reducing x^n - 1 by a lattice
-divisor takes about 9 us at n = 7 and 11, 22 and 125 us at n = 15, 21 and
-63 (mean best per divisor, 2-vCPU shared VM).  The product of two
-polynomials is taken by Kronecker substitution: the Z4 parts and the u
-parts of each operand are packed into Python ints, one fixed-width slot
-per coefficient, so three big-int products give a*c and a*d + b*c, and
-the low two bits of each slot are the coefficients of
+chain tests of ``cyclic.validate`` (on the symbols of ``_xn_minus_1``);
+it answers a unit-constant divisor without dividing and otherwise tests
+the remainder for zero.  Clause (b)(ii) of the T31-T42 conditions of
+``conditions`` only asks whether a monic divisor of x^n - 1, which has no
+u part, divides an even dividend 2h; ``_divides_twice`` answers that over
+F2 on the ``_parity_mask`` of h, which adds by XOR, and divides nothing
+over R.  Clause (a)'s ``self_reciprocal_constant`` answers a unit-lead f
+with one scalar product, building no reciprocal.  Reducing x^n - 1 by a
+lattice divisor takes about 9 us at n = 7 and 11, 22 and 125 us at
+n = 15, 21 and 63 (mean best per divisor, 2-vCPU shared VM).  The product
+of two polynomials is taken by Kronecker substitution: the Z4 parts and
+the u parts of each operand are packed into Python ints, one fixed-width
+slot per coefficient, so three big-int products give a*c and a*d + b*c,
+and the low two bits of each slot are the coefficients of
 (a + ub)(c + ud) = ac + u(ad + bc).
 
 The distinct irreducible factors of x^n - 1 over F2 (squarefree for odd
@@ -175,9 +177,9 @@ class Poly:
         return f"Poly({str(self)!r})"
 
 
-def xn_minus_1(n: int) -> Poly:
-    """x^n - 1 for n >= 1; -1 is symbol 12 (3 + 0u)."""
-    return _poly(b"\x0c" + bytes(n - 1) + b"\4")
+def _xn_minus_1(n: int) -> bytes:
+    """The symbols of x^n - 1 for n >= 1; -1 is symbol 12 (3 + 0u)."""
+    return b"\x0c" + bytes(n - 1) + b"\4"
 
 
 def _fold(s: bytes, n: int) -> bytes:
@@ -298,11 +300,17 @@ def self_reciprocal_constant(f: Poly):
     """The first constant m in canonical element order with f* = m*f, or None.
 
     For a unit leading coefficient a the only candidate is f(0) * a^-1
-    (f(0) is the coefficient of x^(deg f) in f*); only a non-unit one
+    (f(0) is the coefficient of x^(deg f) in f*), checked on the symbols
+    with one scalar product and no f* built; only a zero or non-unit lead
     needs the scan over all 16 constants.  A palindromic f gives 1.
     """
-    m = constant_factor(f, reciprocal(f))
-    return None if m is None else ALL_ELEMENTS[m]
+    s = f.symbols
+    inv = INV[s[-1]] if s else 0
+    if not inv:
+        m = constant_factor(f, reciprocal(f))
+        return None if m is None else ALL_ELEMENTS[m]
+    m = MUL[s[0] << 4 | inv]
+    return ALL_ELEMENTS[m] if s.translate(SCALE[m]) == s[::-1] else None
 
 
 # ---------------------------------------------------------------------------
@@ -316,35 +324,41 @@ def _f2_mod(a: int, m: int) -> int:
     return a
 
 
-# bytes.translate tables: the parities of the Z4 part a and the u part b
-# of a symbol 4a + b, one byte each.
-_Z4_PARITY = bytes(k >> 2 & 1 for k in range(256))
-_U_PARITY = bytes(k & 1 for k in range(256))
+# bytes.translate table: the parity of the Z4 part a of a symbol 4a + b in
+# bit 0, and that of its u part b in bit 1.
+_PARITY = bytes((k >> 2 & 1) | (k & 1) << 1 for k in range(256))
 
 
-def _divides_twice(g: bytes, h: bytes) -> bool:
+def _parity_mask(h: bytes) -> int:
+    """The parities of h = A + uB as one F2 mask on two byte-spaced planes:
+    bit 8k holds the coefficient of x^k in A mod 2, bit 8k + 1 that in
+    B mod 2.  Parities add by XOR, so the mask of a sum of symbol strings
+    is the XOR of their masks."""
+    return int.from_bytes(h.translate(_PARITY), "little")
+
+
+def _divides_twice(g: bytes, h: int) -> bool:
     """Whether g | 2h, for a canonical symbol string g that is zero or has
     a unit lead and no u part, as every monic divisor of x^n - 1 has, and
-    any symbol string h.
+    the ``_parity_mask`` h of any symbol string.
 
     A unit lead makes division by g R-linear, so 2h mod g = 2(h mod g),
     which is zero iff h mod g is zero mod 2.  With no u part in g, h mod g
     is A mod g + u(B mod g) for h = A + uB, so g | 2h iff g mod 2 divides
-    both A mod 2 and B mod 2 over F2.  Each parity is a byte-spaced mask
-    (bit 8k the coefficient of x^k), which ``_f2_mod`` reduces as it is:
-    the bit lengths of two such masks differ by a multiple of 8.  A zero g
-    divides only an h that is zero mod 2.
+    both A mod 2 and B mod 2 over F2.  ``_f2_mod`` reduces both planes of
+    the mask at once by g's mask m, whose bits are all at multiples of 8:
+    it shifts m by 8t to clear a top bit of the A plane and by 8t + 1 for
+    one of the B plane, so each step stays on one plane.  A zero g divides
+    only an h that is zero mod 2.
     """
     if g.translate(None, b"\0\4\10\14") or g and not INV[g[-1]]:
         raise RuntimeError(f"divisor {_poly(g)} is not zero or of unit lead without a u part")
     if len(g) == 1:  # a unit constant divides every h
         return True
-    a = int.from_bytes(h.translate(_Z4_PARITY), "little")
-    b = int.from_bytes(h.translate(_U_PARITY), "little")
-    m = int.from_bytes(g.translate(_Z4_PARITY), "little")
+    m = _parity_mask(g)
     if not m:  # g is zero, as a unit lead makes any other g's mask nonzero
-        return not a | b
-    return not _f2_mod(a, m) and not _f2_mod(b, m)
+        return not h
+    return not _f2_mod(h, m)
 
 
 def _f2_gcd(a: int, b: int) -> int:

@@ -21,7 +21,9 @@ from z4udna.errors import (
     NonUnitLeadingCoefficient,
     OddLength,
     TrivialCode,
+    ZeroPolynomial,
 )
+from z4udna.poly import Poly
 from z4udna.ring import ALL_ELEMENTS, CODON, RingElem
 
 _WCC = {"A": "T", "C": "G", "G": "C", "T": "A"}
@@ -184,6 +186,29 @@ def trim(cs):
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
+
+
+def xn_minus_1(n):
+    """Checks ``poly._xn_minus_1``, the modulus ``cyclic.validate`` divides
+    by, and builds the tests' x^n - 1: the polynomial of its coefficient
+    list -1, 0, ..., 0, 1."""
+    return Poly([-1] + [0] * (n - 1) + [1])
+
+
+def ref_reciprocal(f):
+    """Checks ``poly.reciprocal``: the coefficients reversed, trailing and
+    then leading zeros dropped; ZeroPolynomial for the zero polynomial."""
+    if not trim(f):
+        raise ZeroPolynomial("reference")
+    return trim(reversed(trim(f)))
+
+
+def ref_self_reciprocal_constant(f):
+    """Checks ``poly.self_reciprocal_constant``: the first of the 16
+    constants m, in canonical element order, with m*f = f*; None when no
+    constant works."""
+    fr = ref_reciprocal(f)
+    return next((m for m in ALL_ELEMENTS if trim(m * c for c in f) == fr), None)
 
 
 def ref_mod(f, n):

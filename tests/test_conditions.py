@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from oracles import xn_minus_1
 from z4udna import conditions
 from z4udna.conditions import (
     PROPERTIES,
@@ -19,7 +20,7 @@ from z4udna.conditions import (
 )
 from z4udna.cyclic import GeneratorSet, enumerate_code
 from z4udna.errors import CapExceeded, InvalidGenerators, WrongForm
-from z4udna.poly import Poly, self_reciprocal_constant, xn_minus_1
+from z4udna.poly import Poly, self_reciprocal_constant
 from z4udna.ring import RingElem
 
 G2_3 = Poly.parse("1,1,1")

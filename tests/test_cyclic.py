@@ -21,6 +21,7 @@ from oracles import (
     reverse_word,
     word_from_poly,
     words,
+    xn_minus_1,
 )
 from z4udna import _dense, dna
 from z4udna.conditions import _divisor_lattice, _exhaustive_instances, _random_instance
@@ -35,7 +36,7 @@ from z4udna.cyclic import (
     word_to_row,
 )
 from z4udna.errors import CapExceeded, InvalidGenerators, LengthMismatch, TrivialCode
-from z4udna.poly import Poly, divides, factor_xn_minus_1_z4, poly_divmod, xn_minus_1
+from z4udna.poly import Poly, divides, factor_xn_minus_1_z4, poly_divmod
 from z4udna.ring import ADD, ALL_ELEMENTS, GRAY, RingElem
 
 R = RingElem

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import coeffs
+from oracles import coeffs, xn_minus_1
 from z4udna.conditions import _divisor_lattice
 from z4udna.errors import (
     NonUnitLeadingCoefficient,
@@ -20,6 +20,7 @@ from z4udna.poly import (
     _divides,
     _divides_twice,
     _fold,
+    _parity_mask,
     _poly,
     divides,
     factor_xn_minus_1_f2,
@@ -29,9 +30,8 @@ from z4udna.poly import (
     poly_mod_xn,
     reciprocal,
     self_reciprocal_constant,
-    xn_minus_1,
 )
-from z4udna.ring import ALL_ELEMENTS, SCALE, RingElem, UNITS
+from z4udna.ring import ALL_ELEMENTS, NEG, SCALE, RingElem, UNITS
 
 G2 = Poly.parse("3,1,2,1")   # x^3+2x^2+x-1
 G3 = Poly.parse("3,2,3,1")   # x^3-x^2-2x-1
@@ -134,26 +134,37 @@ def test_reduced_divisors_run_from_one_to_zero():
 def test_divides_twice_matches_division_over_the_ring(n, data):
     # h is any symbol string below degree n, as the clauses' h is; g*q + 2r
     # is one whose double every g divides, so both answers are exercised.
+    # The clauses pass the mask of a sum x + y as the XOR of the masks of x
+    # and y, which must answer as 2(x + y) divided over R does.
     symbols = st.lists(st.integers(0, 15), max_size=n).map(bytes)
     h, q, r = data.draw(symbols), data.draw(symbols), data.draw(symbols)
+    x, y = data.draw(symbols), data.draw(symbols)
     for g in reduced_divisors(n):
-        assert _divides_twice(g, h) == _divides(g, double(h))
+        assert _divides_twice(g, _parity_mask(h)) == _divides(g, double(h))
         multiple = _add((_poly(g) * _poly(q)).symbols, r.translate(SCALE[8]))
-        assert _divides_twice(g, multiple) and _divides(g, double(multiple))
+        assert _divides_twice(g, _parity_mask(multiple)) and _divides(g, double(multiple))
+        assert (_divides_twice(g, _parity_mask(x) ^ _parity_mask(y))
+                == _divides(g, double(_add(x, y))))
+        # x and multiple - x sum to a multiple: their masks XOR to one
+        rest = _add(multiple, x.translate(NEG))
+        assert _divides_twice(g, _parity_mask(x) ^ _parity_mask(rest))
 
 
 def test_divides_twice_by_zero_and_by_one():
     # zero divides 2h only when h is zero mod 2; the constant 1 divides all
-    assert _divides_twice(b"", b"") and _divides_twice(b"", b"\2\10\12\0")
-    assert not _divides_twice(b"", b"\10\1") and not _divides_twice(b"", b"\4")
-    assert all(_divides_twice(b"\4", bytes([k])) for k in range(16))
+    def by_zero(h):
+        return _divides_twice(b"", _parity_mask(h))
+
+    assert by_zero(b"") and by_zero(b"\2\10\12\0")
+    assert not by_zero(b"\10\1") and not by_zero(b"\4")
+    assert all(_divides_twice(b"\4", _parity_mask(bytes([k]))) for k in range(16))
 
 
 @pytest.mark.parametrize("g", [b"\1", b"\1\4", b"\4\5", b"\4\10"])
 def test_divides_twice_refuses_a_u_part_or_a_non_unit_lead(g):
     # u, u + x and 1 + (1+u)x have a u part; 1 + 2x has a non-unit lead
     with pytest.raises(RuntimeError):
-        _divides_twice(g, b"\4")
+        _divides_twice(g, _parity_mask(b"\4"))
 
 
 def test_reciprocal():
@@ -184,6 +195,8 @@ def test_self_reciprocal_constant():
     assert self_reciprocal_constant(Poly.parse("3,1")) == RingElem(3)
     # the G2 reciprocal is 3*G3
     assert reciprocal(G2) == G3 * RingElem(3)
+    with pytest.raises(ZeroPolynomial, match="^reciprocal of the zero polynomial$"):
+        self_reciprocal_constant(Poly())
 
 
 def test_reciprocal_product_and_sum_rules():

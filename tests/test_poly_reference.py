@@ -7,8 +7,18 @@ first, with the ring's own operators and nothing from ``z4udna.poly``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import coeffs, ref_divides, ref_divmod, ref_mod, trim
+from oracles import (
+    coeffs,
+    ref_divides,
+    ref_divmod,
+    ref_mod,
+    ref_reciprocal,
+    ref_self_reciprocal_constant,
+    trim,
+    xn_minus_1,
+)
 from z4udna.conditions import (
+    _divisor_lattice,
     check_rc_single,
     check_reversible_double,
     check_reversible_single,
@@ -17,6 +27,7 @@ from z4udna.cyclic import GeneratorSet, generator_polys
 from z4udna.errors import NonUnitLeadingCoefficient, ZeroPolynomial
 from z4udna.poly import (
     Poly,
+    _xn_minus_1,
     constant_factor,
     divides,
     factor_xn_minus_1_z4,
@@ -24,7 +35,6 @@ from z4udna.poly import (
     poly_mod_xn,
     reciprocal,
     self_reciprocal_constant,
-    xn_minus_1,
 )
 from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS, solve_unit
 
@@ -57,17 +67,6 @@ def ref_mul(f, g):
         for j, y in enumerate(g):
             out[i + j] = out[i + j] + x * y
     return trim(out)
-
-
-def ref_reciprocal(f):
-    if not trim(f):
-        raise ZeroPolynomial("reference")
-    return trim(reversed(trim(f)))
-
-
-def ref_self_reciprocal_constant(f):
-    fr = ref_reciprocal(f)
-    return next((m for m in ALL_ELEMENTS if trim(m * c for c in f) == fr), None)
 
 
 def outcome(fn, *args):
@@ -195,13 +194,31 @@ def test_divides_by_a_constant(c, f, n):
         assert divides(Poly([c]), Poly(), n) is True
 
 
-@given(any_lists)
+# m*P and m*P*(x - 1) for a palindrome P and a unit m: f* is f or -f when
+# P keeps its degree, so a solved constant is hit as well as missed.
+near_palindromes = st.builds(
+    lambda cs, m, odd: coeffs(Poly(cs) * m * Poly.parse("3,1" if odd else "1")),
+    palindromes, st.sampled_from(UNITS), st.booleans())
+
+
+@given(st.one_of(any_lists, near_palindromes, st.lists(elems, min_size=1, max_size=40)))
 def test_reciprocal_and_self_reciprocal_constant(f):
     """The solved constant equals the ordered 16-constant scan, also for
     non-unit leading coefficients and zero constant terms."""
     assert outcome(lambda: coeffs(reciprocal(Poly(f)))) == outcome(ref_reciprocal, f)
     assert (outcome(self_reciprocal_constant, Poly(f))
             == outcome(ref_self_reciprocal_constant, f))
+
+
+def test_self_reciprocal_constant_on_every_lattice_divisor():
+    # every monic divisor of x^n - 1 for odd n <= 31, times a unit that
+    # cycles through the eight, so every unit lead is met
+    k = 0
+    for n in range(1, 32, 2):
+        for g in _divisor_lattice(n):
+            f = g * UNITS[k % len(UNITS)]
+            k += 1
+            assert self_reciprocal_constant(f) == ref_self_reciprocal_constant(coeffs(f)), f
 
 
 @given(any_lists, st.one_of(any_lists, st.none()), elems, st.sets(elems, min_size=1))
@@ -226,7 +243,7 @@ def test_solve_unit_inverts_every_unit():
 
 @given(st.integers(1, 64))
 def test_xn_minus_1_literal(n):
-    assert xn_minus_1(n) == Poly([-1] + [0] * (n - 1) + [1])
+    assert _xn_minus_1(n) == xn_minus_1(n).symbols
 
 
 @given(coeff_lists, st.integers(0, 4))
@@ -243,7 +260,7 @@ def test_shift_rejects_negative_exponent():
     with pytest.raises(ValueError):
         Poly().shift(-1)
     with pytest.raises(ValueError):
-        xn_minus_1(0)
+        _xn_minus_1(0)
 
 
 def lattice_tuples_63():

@@ -9,7 +9,7 @@ Four named condition sets are evaluated on a generator tuple:
   computes every clause for both forms, in report order; ``_FORMS`` holds
   what differs by form (the clause (a) list and the texts), and only the
   (b)(ii) branch differs in logic.  The (b) clauses run on symbol strings
-  through ``poly``'s kernels, building no ``Poly`` but the unit-factor note's.
+  through ``poly``'s kernels and build no ``Poly``, the (b)(i) note too.
   (b)(ii) asks whether f2 (T31) or f4 (T32) divides 2h, h = x^j*f14* + f14,
   or 2(h + f2), and is decided on F2 parity masks by
   ``poly._divides_twice``: for a divisor g with a unit lead,
@@ -29,7 +29,8 @@ as an informational note, not as success.  The cross-validation harness
 compares each prediction with the closure predicates of the enumerated
 code (``Code.is_reversible``, ``Code.is_rc_closed``, which test the code's
 generators for membership), and any disagreement is surfaced as a named
-erratum record instead of being absorbed.
+erratum record instead of being absorbed.  Sweeps draw from
+``poly.divisor_lattice``.
 """
 
 from __future__ import annotations
@@ -51,12 +52,11 @@ from .cyclic import (
 from .errors import CapExceeded, WrongForm
 from .poly import (
     Poly,
+    _constant_factor,
     _divides_twice,
     _fold,
     _parity_mask,
-    _poly,
-    constant_factor,
-    factor_xn_minus_1_z4,
+    divisor_lattice,
     self_reciprocal_constant,
 )
 from .ring import ALL_ELEMENTS, RingElem, UNITS
@@ -123,7 +123,7 @@ def _check(gens: GeneratorSet, double: bool) -> ConditionReport:
     rhs = _fold(f2, n)
     if lhs != rhs:
         failures.append("(b)(i) x^i*f2* != f2")
-        m = constant_factor(_poly(rhs), _poly(lhs), _UNITS_BUT_ONE)
+        m = _constant_factor(rhs, lhs, _UNITS_BUT_ONE)
         if m is not None:
             notes.append(f"(b)(i) holds up to the unit factor m={ALL_ELEMENTS[m]}")
     # (b)(ii) works on x^j*f14* reduced and on f14, which validate keeps
@@ -248,23 +248,13 @@ def cross_validate(gens: GeneratorSet, prop: str,
 F14_ALPHABET = (RingElem(0), RingElem(1), RingElem(2), RingElem(0, 1))
 
 
-def _divisor_lattice(n: int) -> list[Poly]:
-    """Monic divisors of x^n - 1, indexed by their factor subset mask."""
-    factors = factor_xn_minus_1_z4(n)
-    prods = [Poly([1])]
-    for mask in range(1, 1 << len(factors)):
-        low = mask & -mask  # one multiplication: the mask without its low bit
-        prods.append(prods[mask ^ low] * factors[low.bit_length() - 1])
-    return prods
-
-
 def _submasks(mask: int) -> list[int]:
     return [s for s in range(mask + 1) if s & mask == s]
 
 
 def _exhaustive_instances(n: int, max_f14_degree: int):
     """Every single-generator tuple, then every double-generator one."""
-    lattice = _divisor_lattice(n)
+    lattice = divisor_lattice(n)
     ncoef = min(max_f14_degree, n - 1) + 1
     f14s = [Poly(c) for c in itertools.product(F14_ALPHABET, repeat=ncoef)]
     pairs = [(f1, lattice[m2]) for m1, f1 in enumerate(lattice) for m2 in _submasks(m1)]
@@ -290,7 +280,7 @@ def _random_instance(n: int, max_f14_degree: int, lattice: list[Poly],
 def _sampled_codes(n: int, max_f14_degree: int, seed: int, samples: int, cap: int):
     """``samples`` seeded draws with their codes; a draw over ``cap`` is
     skipped, and after ``200 * samples`` draws the walk gives up."""
-    lattice = _divisor_lattice(n)
+    lattice = divisor_lattice(n)
     rng = random.Random(seed)
     collected = 0
     attempts = 0

@@ -14,14 +14,14 @@ the remainder for zero.  Clause (b)(ii) of the T31-T42 conditions of
 ``conditions`` only asks whether a monic divisor of x^n - 1, which has no
 u part, divides an even dividend 2h; ``_divides_twice`` answers that over
 F2 on the ``_parity_mask`` of h, which adds by XOR, and divides nothing
-over R.  Clause (a)'s ``self_reciprocal_constant`` answers a unit-lead f
-with one scalar product, building no reciprocal.  Reducing x^n - 1 by a
-lattice divisor takes about 9 us at n = 7 and 11, 22 and 125 us at
-n = 15, 21 and 63 (mean best per divisor, 2-vCPU shared VM).  The product
-of two polynomials is taken by Kronecker substitution: the Z4 parts and
-the u parts of each operand are packed into Python ints, one fixed-width
-slot per coefficient, so three big-int products give a*c and a*d + b*c,
-and the low two bits of each slot are the coefficients of
+over R.  ``_constant_factor`` solves t = m*s for a constant m, for clause
+(a) (t = f*) and the (b)(i) note; a unit-lead s leaves one candidate m.
+Reducing x^n - 1 by a lattice divisor takes about 9 us at n = 7 and 11,
+22 and 125 us at n = 15, 21 and 63 (mean best per divisor, 2-vCPU shared
+VM).  The product of two polynomials is taken by Kronecker substitution:
+the Z4 parts and the u parts of each operand are packed into Python ints,
+one fixed-width slot per coefficient, so three big-int products give a*c
+and a*d + b*c, and the low two bits of each slot are the coefficients of
 (a + ub)(c + ud) = ac + u(ad + bc).
 
 The distinct irreducible factors of x^n - 1 over F2 (squarefree for odd
@@ -32,7 +32,8 @@ serves this factoring and the (b)(ii) test of ``_divides_twice``.  The
 factors are returned as ``Poly``s with coefficients 0 and 1, and each is
 lifted to Z4 by one Graeffe step: split f into even and odd parts
 f(x) = e(x^2) + x*o(x^2) and read the lift off ``+-(e(y)^2 - y*o(y)^2)``
-with the sign fixed so the result is monic.
+with the sign fixed so the result is monic; ``divisor_lattice`` multiplies
+the lifts out into the monic divisors of x^n - 1.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     UnsupportedLength,
     ZeroPolynomial,
 )
-from .ring import ADD, ALL_ELEMENTS, INV, MUL, NEG, SCALE, TEXT, RingElem, solve_unit
+from .ring import ADD, ALL_ELEMENTS, INV, MUL, NEG, SCALE, TEXT, RingElem
 
 #: Largest supported code length for the factorization routines.
 LENGTH_CAP = 63
@@ -279,17 +280,18 @@ def reciprocal(f: Poly) -> Poly:
     return _poly(f.symbols[::-1])
 
 
-def constant_factor(f: Poly, g: Poly, among: bytes = bytes(range(16))):
-    """The first symbol index m in ``among`` with f*m == g, or None.
+def _constant_factor(s: bytes, t: bytes, among: bytes = bytes(range(16))):
+    """The first symbol index m in ``among`` with s*m == t, for canonical
+    symbol strings s and t, or None.
 
-    When the leading coefficient of f is a unit, f*m keeps the degree of f
-    unless m = 0, so m*lc(f) = lc(g) (0 for g = 0) leaves one candidate,
+    When the lead of s is a unit, s*m keeps the length of s unless m = 0,
+    so the one candidate is m = lc(t) * lc(s)^-1 (lc(t) = 0 for t = 0),
     checked with one scalar product; otherwise ``among`` is scanned in order.
     """
-    s, t = f.symbols, g.symbols
-    m = solve_unit(s[-1], t[-1] if t else 0) if s else None
-    if m is not None:
-        among = (m,) if m in among else ()
+    inv = INV[s[-1]] if s else 0
+    if inv:
+        m = MUL[(t[-1] if t else 0) << 4 | inv]
+        return m if m in among and s.translate(SCALE[m]).rstrip(b"\0") == t else None
     for m in among:
         if s.translate(SCALE[m]).rstrip(b"\0") == t:
             return m
@@ -299,18 +301,14 @@ def constant_factor(f: Poly, g: Poly, among: bytes = bytes(range(16))):
 def self_reciprocal_constant(f: Poly):
     """The first constant m in canonical element order with f* = m*f, or None.
 
-    For a unit leading coefficient a the only candidate is f(0) * a^-1
-    (f(0) is the coefficient of x^(deg f) in f*), checked on the symbols
-    with one scalar product and no f* built; only a zero or non-unit lead
-    needs the scan over all 16 constants.  A palindromic f gives 1.
+    f* is f's symbols reversed, so a unit lead leaves the one candidate
+    lc(f*) * lc(f)^-1, and only a non-unit lead scans all 16 constants.
     """
     s = f.symbols
-    inv = INV[s[-1]] if s else 0
-    if not inv:
-        m = constant_factor(f, reciprocal(f))
-        return None if m is None else ALL_ELEMENTS[m]
-    m = MUL[s[0] << 4 | inv]
-    return ALL_ELEMENTS[m] if s.translate(SCALE[m]) == s[::-1] else None
+    if not s:
+        raise ZeroPolynomial("reciprocal of the zero polynomial")
+    m = _constant_factor(s, s[::-1].rstrip(b"\0"))
+    return None if m is None else ALL_ELEMENTS[m]
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +435,13 @@ def hensel_lift(f: Poly, n: int) -> Poly:
 def factor_xn_minus_1_z4(n: int) -> list[Poly]:
     """Hensel lifts of all F2 factors; their product is x^n - 1 over Z4."""
     return [hensel_lift(f, n) for f in factor_xn_minus_1_f2(n)]
+
+
+def divisor_lattice(n: int) -> list[Poly]:
+    """Monic divisors of x^n - 1, indexed by their factor subset mask."""
+    factors = factor_xn_minus_1_z4(n)
+    prods = [Poly([1])]
+    for mask in range(1, 1 << len(factors)):
+        low = mask & -mask  # one multiplication: the mask without its low bit
+        prods.append(prods[mask ^ low] * factors[low.bit_length() - 1])
+    return prods

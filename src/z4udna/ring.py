@@ -176,8 +176,3 @@ INV = bytes(MUL.index(4, 16 * x, 16 * x + 16) % 16 if x & 4 else 0 for x in rang
 # LEE[x] is the Lee weight of x.
 LEE = bytes(LEE_Z4[k & 3] + LEE_Z4[((k >> 2) + k) % 4] for k in range(16))
 
-
-def solve_unit(x: int, y: int) -> int | None:
-    """The symbol index m = y * x^-1 solving m*x = y, or None for a non-unit x."""
-    inv = INV[x]
-    return MUL[y << 4 | inv] if inv else None

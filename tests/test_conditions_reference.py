@@ -25,7 +25,7 @@ from z4udna.cyclic import GeneratorSet
 from z4udna.poly import (
     Poly,
     divides,
-    factor_xn_minus_1_z4,
+    divisor_lattice,
     poly_mod_xn,
     reciprocal,
 )
@@ -113,19 +113,13 @@ def rc_check(gens):
 def lattice_tuples(n, per_form, seed):
     """Seeded single- and double-generator tuples from the divisor lattice
     of x^n - 1, with f14 of degree <= 2."""
-    factors = factor_xn_minus_1_z4(n)
+    lattice = divisor_lattice(n)
+    bits = len(lattice).bit_length() - 1  # one bit per factor
     rng = random.Random(seed)
 
-    def divisor(mask):
-        p = Poly([1])
-        for i, f in enumerate(factors):
-            if mask >> i & 1:
-                p = p * f
-        return p
-
     def pair():
-        m = rng.getrandbits(len(factors))
-        return divisor(m), divisor(m & rng.getrandbits(len(factors)))
+        m = rng.getrandbits(bits)
+        return lattice[m], lattice[m & rng.getrandbits(bits)]
 
     out = []
     for double in (False, True):

@@ -24,7 +24,7 @@ from oracles import (
     xn_minus_1,
 )
 from z4udna import _dense, dna
-from z4udna.conditions import _divisor_lattice, _exhaustive_instances, _random_instance
+from z4udna.conditions import _exhaustive_instances, _random_instance
 from z4udna.cyclic import (
     Code,
     GeneratorSet,
@@ -36,7 +36,7 @@ from z4udna.cyclic import (
     word_to_row,
 )
 from z4udna.errors import CapExceeded, InvalidGenerators, LengthMismatch, TrivialCode
-from z4udna.poly import Poly, divides, factor_xn_minus_1_z4, poly_divmod
+from z4udna.poly import Poly, divides, divisor_lattice, factor_xn_minus_1_z4, poly_divmod
 from z4udna.ring import ADD, ALL_ELEMENTS, GRAY, RingElem
 
 R = RingElem
@@ -106,7 +106,7 @@ def test_validate_divides_the_chain_literally():
 
 @functools.cache
 def lattice(n):
-    return _divisor_lattice(n)
+    return divisor_lattice(n)
 
 
 def ref_problems(gens):
@@ -253,7 +253,7 @@ def test_no_merge_builds_a_set_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(np, "union1d", recorded)
     rng = random.Random(14)
-    lattice = _divisor_lattice(7)
+    lattice = divisor_lattice(7)
     over_cap = 0
     while over_cap < 4:
         try:
@@ -587,7 +587,7 @@ def _small_instance(n, limit, rng):
     """A random generator tuple of length n whose code has at most ``limit``
     words, with its words; sized by the oracle so that no enumeration, and
     no cap of the code under test, decides which draws are kept."""
-    lattice = _divisor_lattice(n)
+    lattice = divisor_lattice(n)
     while True:
         gens = _random_instance(n, 2, lattice, rng)
         words = ideal_words(gens, limit)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import z4udna
-from z4udna import conditions, dna
+from z4udna import conditions, dna, poly
 from z4udna.cli import main
 from z4udna.cyclic import GeneratorSet, enumerate_code, render_code_export
 from z4udna.poly import Poly
@@ -104,7 +104,7 @@ TEXTS = {
         lambda: _stdout_of(["factor", "--n", "63"]),
         "0d2a90934cbffe2eb075657aed49c428c66c9b4fa28aa07f69e5115efc5b9b38"),
     "lattice-63": (
-        lambda: "\n".join(map(str, conditions._divisor_lattice(63))),
+        lambda: "\n".join(map(str, poly.divisor_lattice(63))),
         "4f394a4ab00d0295a22e80ef76fe124cf84355d82fee8152997d2b19ade1e5a5"),
     "sweep-n3": (
         lambda: conditions.format_sweep_report(conditions.sweep(3, max_f14_degree=0)),

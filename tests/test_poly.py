@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import coeffs, xn_minus_1
-from z4udna.conditions import _divisor_lattice
 from z4udna.errors import (
     NonUnitLeadingCoefficient,
     NotAFactor,
@@ -23,6 +22,7 @@ from z4udna.poly import (
     _parity_mask,
     _poly,
     divides,
+    divisor_lattice,
     factor_xn_minus_1_f2,
     factor_xn_minus_1_z4,
     hensel_lift,
@@ -112,7 +112,7 @@ def reduced_divisors(n):
     """The lattice divisors of x^n - 1 reduced mod x^n - 1, as the T31/T32
     clauses reduce f2 and f4: the constant 1 first and x^n - 1, folded to
     zero, last; at n = 21 and 63 those two around 30 seeded others."""
-    divisors = [_fold(g.symbols, n) for g in _divisor_lattice(n)]
+    divisors = [_fold(g.symbols, n) for g in divisor_lattice(n)]
     if n in (21, 63):
         divisors[1:-1] = random.Random(n).sample(divisors[1:-1], 30)
     return divisors
@@ -126,7 +126,7 @@ def test_reduced_divisors_run_from_one_to_zero():
     for n in (3, 5, 7, 9, 15, 21, 63):
         divisors = reduced_divisors(n)
         assert divisors[0] == b"\4" and divisors[-1] == b""
-        assert len(divisors) == (32 if n in (21, 63) else len(_divisor_lattice(n)))
+        assert len(divisors) == (32 if n in (21, 63) else len(divisor_lattice(n)))
 
 
 @settings(max_examples=60, deadline=None)

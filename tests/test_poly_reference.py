@@ -4,6 +4,8 @@ The references work on coefficient lists of ``RingElem``s, lowest degree
 first, with the ring's own operators and nothing from ``z4udna.poly``.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,6 @@ from oracles import (
     xn_minus_1,
 )
 from z4udna.conditions import (
-    _divisor_lattice,
     check_rc_single,
     check_reversible_double,
     check_reversible_single,
@@ -27,16 +28,17 @@ from z4udna.cyclic import GeneratorSet, generator_polys
 from z4udna.errors import NonUnitLeadingCoefficient, ZeroPolynomial
 from z4udna.poly import (
     Poly,
+    _constant_factor,
     _xn_minus_1,
-    constant_factor,
     divides,
+    divisor_lattice,
     factor_xn_minus_1_z4,
     poly_divmod,
     poly_mod_xn,
     reciprocal,
     self_reciprocal_constant,
 )
-from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS, solve_unit
+from z4udna.ring import ALL_ELEMENTS, RingElem, UNITS
 
 ZERO = RingElem(0)
 elems = st.sampled_from(ALL_ELEMENTS)
@@ -215,10 +217,20 @@ def test_self_reciprocal_constant_on_every_lattice_divisor():
     # cycles through the eight, so every unit lead is met
     k = 0
     for n in range(1, 32, 2):
-        for g in _divisor_lattice(n):
+        for g in divisor_lattice(n):
             f = g * UNITS[k % len(UNITS)]
             k += 1
             assert self_reciprocal_constant(f) == ref_self_reciprocal_constant(coeffs(f)), f
+
+
+def symbols(cs):
+    """The canonical symbol string of a coefficient list."""
+    return bytes(map(ALL_ELEMENTS.index, trim(cs)))
+
+
+def ordered_scan(f, g, among):
+    """The first m of the list ``among`` with m*f = g, or None."""
+    return next((m for m in among if trim(m * c for c in f) == trim(g)), None)
 
 
 @given(any_lists, st.one_of(any_lists, st.none()), elems, st.sets(elems, min_size=1))
@@ -226,19 +238,45 @@ def test_constant_factor_matches_the_ordered_scan(f, g, m, among):
     if g is None:  # a multiple of f, so that matches are common
         g = [m * c for c in f]
     among = sorted(among, key=ALL_ELEMENTS.index)
-    scan = next((m for m in among if trim(m * c for c in f) == trim(g)), None)
-    got = constant_factor(Poly(f), Poly(g), bytes(map(ALL_ELEMENTS.index, among)))
-    assert (None if got is None else ALL_ELEMENTS[got]) == scan
+    got = _constant_factor(symbols(f), symbols(g), bytes(map(ALL_ELEMENTS.index, among)))
+    assert (None if got is None else ALL_ELEMENTS[got]) == ordered_scan(f, g, among)
 
 
-def test_solve_unit_inverts_every_unit():
+def test_constant_factor_on_every_single_symbol_pair():
+    # m*x = y for constants x and y: a unit x leaves the unique solution
+    # y * x^-1, which is not found when ``among`` leaves it out, and a
+    # non-unit x the first match of the 16-constant scan
     for x in ALL_ELEMENTS:
         for y in ALL_ELEMENTS:
-            m = solve_unit(ALL_ELEMENTS.index(x), ALL_ELEMENTS.index(y))
+            got = _constant_factor(symbols([x]), symbols([y]))
+            assert (None if got is None else ALL_ELEMENTS[got]) == ordered_scan(
+                [x], [y], ALL_ELEMENTS)
             if x.is_unit():
-                assert ALL_ELEMENTS[m] * x == y
-            else:
-                assert m is None
+                assert [m for m in ALL_ELEMENTS if m * x == y] == [ALL_ELEMENTS[got]]
+                others = bytes(k for k in range(16) if k != got)
+                assert _constant_factor(symbols([x]), symbols([y]), others) is None
+
+
+def ref_product(factors):
+    """The product of a list of polynomials, on coefficient lists."""
+    out = (RingElem(1),)
+    for f in factors:
+        out = ref_mul(out, coeffs(f))
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(1, 16, 2), 21, 45, 63])
+def test_divisor_lattice_entries_are_the_products_of_their_factors(n):
+    """Entry mask of the lattice is the product of the lifted factors whose
+    bits are set in mask: every mask at n <= 15, 40 seeded ones beyond."""
+    lattice = divisor_lattice(n)
+    factors = factor_xn_minus_1_z4(n)
+    assert len(lattice) == 1 << len(factors)
+    masks = range(len(lattice)) if n <= 15 else random.Random(n).sample(range(len(lattice)), 40)
+    for mask in masks:
+        chosen = [f for i, f in enumerate(factors) if mask >> i & 1]
+        assert coeffs(lattice[mask]) == ref_product(chosen), (n, mask)
+    assert lattice[-1] == xn_minus_1(n)
 
 
 @given(st.integers(1, 64))
@@ -265,16 +303,9 @@ def test_shift_rejects_negative_exponent():
 
 def lattice_tuples_63():
     """A single- and a double-generator tuple from the n=63 divisor lattice."""
-    factors = factor_xn_minus_1_z4(63)
-
-    def product(indices):
-        p = Poly([1])
-        for i in indices:
-            p = p * factors[i]
-        return p
-
-    f1, f2 = product(range(6)), product(range(3))
-    f3, f4 = product(range(4, 10)), product(range(4, 7))
+    lattice = divisor_lattice(63)
+    f1, f2 = lattice[0b111111], lattice[0b111]
+    f3, f4 = lattice[0b1111110000], lattice[0b1110000]
     f14 = Poly.parse("1,u,2+3u")
     return GeneratorSet(63, f1, f2, f14), GeneratorSet(63, f1, f2, f14, f3, f4)
 

@@ -50,15 +50,27 @@ def test_only_enumerate_code_builds_a_code():
     assert len(calls) == 1 and calls[0] in list(ast.walk(builder))
 
 
+def _named_outside_poly(name):
+    """Where a package module other than poly names ``name``: as a name,
+    an attribute, a definition or an imported alias."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "poly.py"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                        getattr(node, "name", None))]
+
+
 def test_only_poly_names_the_division_kernel():
     # poly._remainder is the one division loop, and every other module
     # tests divisibility through poly._divides or poly._divides_twice.
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "poly.py"
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if "_remainder" in (getattr(node, "id", None), getattr(node, "attr", None),
-                                 getattr(node, "name", None))]
-    assert found == []
+    assert _named_outside_poly("_remainder") == []
+
+
+def test_only_poly_wraps_symbols_in_a_poly():
+    # poly._poly builds a Poly from symbols it does not check; every other
+    # module hands poly's kernels symbol strings, as conditions does with
+    # _constant_factor, and never wraps them back into a Poly.
+    assert _named_outside_poly("_poly") == []
 
 
 def test_only_cyclic_imports_dense():

@@ -38,8 +38,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cyclic import (
     Code,
@@ -74,8 +73,7 @@ _FORMS = (("T31", ("f1",), "single-generator checker given a double-generator tu
            "(b)(ii) f4 divides neither 2x^j*f14* + 2f14 nor that plus 2f2"))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of one condition set on one generator tuple.
 
     ``branch`` names the (b)(ii) disjunct that held: "equality" or
@@ -93,8 +91,7 @@ class ConditionReport:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CrossValReport:
+class CrossValReport(NamedTuple):
     gens: GeneratorSet
     property: str
     predicted: bool

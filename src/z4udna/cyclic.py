@@ -18,8 +18,7 @@ returns; only this module imports ``_dense``, which alone knows its keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,8 +52,7 @@ def word_to_row(w: CodeWord) -> np.ndarray:
 # Generator tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """Defining data of a cyclic code of odd length n.
 
     f2 must divide f1 must divide x^n - 1; the optional pair (f3, f4)

@@ -19,10 +19,11 @@ over R.  ``_constant_factor`` solves t = m*s for a constant m, for clause
 Reducing x^n - 1 by a lattice divisor takes about 9 us at n = 7 and 11,
 22 and 125 us at n = 15, 21 and 63 (mean best per divisor, 2-vCPU shared
 VM).  The product of two polynomials is taken by Kronecker substitution:
-the Z4 parts and the u parts of each operand are packed into Python ints,
-one fixed-width slot per coefficient, so three big-int products give a*c
-and a*d + b*c, and the low two bits of each slot are the coefficients of
-(a + ub)(c + ud) = ac + u(ad + bc).
+each operand's symbols 4a + b are packed once into a Python int, one
+fixed-width slot per coefficient, and masking every slot's low two bits
+reads off its Z4 part a (after a shift by 2) and its u part b in the same
+slots.  Big-int products then give a*c and a*d + b*c, and the low two
+bits of each slot are the coefficients of (a + ub)(c + ud) = ac + u(ad + bc).
 
 The distinct irreducible factors of x^n - 1 over F2 (squarefree for odd
 n) come in closed form from the 2-cyclotomic cosets mod n: each coset's
@@ -67,16 +68,11 @@ def _add(x, y) -> bytes:
     return bytes([ADD[i << 4 | j] for i, j in zip(x, y)]) + x[len(y):]
 
 
-# bytes.translate tables: the Z4 part a and the u part b of a symbol 4a + b.
-_Z4_PART = bytes(k >> 2 & 3 for k in range(256))
-_U_PART = bytes(k & 3 for k in range(256))
-
-
-def _pack(s: bytes, part: bytes, width: int) -> int:
-    """One int holding part[s[i]] in the i-th slot of ``width`` bytes,
+def _pack(s: bytes, width: int) -> int:
+    """One int holding symbol s[i] in the i-th slot of ``width`` bytes,
     lowest slot first."""
     slots = bytearray(len(s) * width)
-    slots[::width] = s.translate(part)
+    slots[::width] = s
     return int.from_bytes(slots, "little")
 
 
@@ -142,18 +138,19 @@ class Poly:
         x, y = self.symbols, other.symbols
         if not x or not y:
             return Poly()
-        # Kronecker substitution: (a + ub)(c + ud) = ac + u(ad + bc), with
-        # each part packed one coefficient to a slot of `width` bytes.  A
-        # slot must hold a coefficient of a*d + b*c, at most
+        # Kronecker substitution: (a + ub)(c + ud) = ac + u(ad + bc).  Each
+        # operand is packed once, one whole symbol 4a + b to a slot of
+        # `width` bytes, and its parts a and b are masked out of the same
+        # slots.  A slot must hold a coefficient of a*d + b*c, at most
         # 2 * 3 * 3 * min(len x, len y), so no sum carries into its neighbour.
         width = ((18 * min(len(x), len(y))).bit_length() + 7) // 8
-        a, b = _pack(x, _Z4_PART, width), _pack(x, _U_PART, width)
-        c, d = _pack(y, _Z4_PART, width), _pack(y, _U_PART, width)
         size = len(x) + len(y) - 1
         low2 = int.from_bytes(b"\3".ljust(width, b"\0") * size, "little")
-        ac = a * c & low2
-        ad_bc = (a * d + b * c) & low2
-        return _poly((ac << 2 | ad_bc).to_bytes(size * width, "little")[::width])
+        p, q = _pack(x, width), _pack(y, width)
+        a, b = p >> 2 & low2, p & low2
+        c, d = q >> 2 & low2, q & low2
+        out = (a * c & low2) << 2 | (a * d + b * c) & low2
+        return _poly(out.to_bytes(size * width, "little")[::width])
 
     __rmul__ = __mul__
 

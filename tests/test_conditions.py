@@ -221,6 +221,25 @@ def test_conditions_are_pure():
     assert a == b
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GeneratorSet(3, G2_3, Poly.parse("1")),
+    lambda: check_rc_single(EX_61I),
+    lambda: cross_validate(EX_61II, "reversible"),
+], ids=["GeneratorSet", "ConditionReport", "CrossValReport"])
+def test_tuple_and_report_types_are_immutable_values(build):
+    value, twin = build(), build()
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert {value: "kept"}[twin] == "kept"
+    field = value._fields[1]
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    changed = value._replace(**{field: None})
+    assert getattr(changed, field) is None and changed != value and value == twin
+    if isinstance(value, GeneratorSet):
+        assert repr(value) == ("GeneratorSet(n=3, f1=Poly('1,1,1'), f2=Poly('1'), "
+                               "f14=Poly('0'), f3=None, f4=None)")
+
+
 def test_conditions_are_sound_on_the_exhaustive_length7_lattice():
     # Every divisor of x^n - 1 is self-reciprocal for n = 3, 5 and 9, so
     # only a lattice like n = 7's can catch a reversibility prediction that

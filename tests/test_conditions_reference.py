@@ -8,7 +8,6 @@ the reference decides by evaluating f1 at 1 in ``RingElem`` arithmetic.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,8 +96,8 @@ def ref_rc_check(gens):
     failures = report.failures
     if not sum(coeffs(gens.f1), RingElem(0)).is_unit():
         failures += (MEMBERSHIP,)
-    return replace(report, theorem={"T31": "T41", "T32": "T42"}[report.theorem],
-                   satisfied=not failures, failures=failures)
+    return report._replace(theorem={"T31": "T41", "T32": "T42"}[report.theorem],
+                           satisfied=not failures, failures=failures)
 
 
 def check(gens):
@@ -178,6 +177,6 @@ def test_reports_match_the_reference_for_f14_of_any_degree(n, seed, double, data
     # fold past x^n, and an f14 with zero low coefficients has a reciprocal
     # of lower degree, which the scans above reach only by chance
     coeffs = data.draw(st.lists(st.sampled_from(ALL_ELEMENTS), max_size=n))
-    gens = replace(lattice_tuples(n, 1, seed)[double], f14=Poly(coeffs))
+    gens = lattice_tuples(n, 1, seed)[double]._replace(f14=Poly(coeffs))
     assert check(gens) == ref_check(gens)
     assert rc_check(gens) == ref_rc_check(gens)

@@ -24,7 +24,7 @@ from oracles import (
     xn_minus_1,
 )
 from z4udna import _dense, dna
-from z4udna.conditions import _exhaustive_instances, _random_instance
+from z4udna.conditions import _exhaustive_instances, _random_instance, _sampled_codes
 from z4udna.cyclic import (
     Code,
     GeneratorSet,
@@ -590,9 +590,25 @@ def _small_instance(n, limit, rng):
     lattice = divisor_lattice(n)
     while True:
         gens = _random_instance(n, 2, lattice, rng)
+        if 16 ** (n - gens.f1.degree) > limit:  # see test_f1_bounds_the_code_size
+            continue
         words = ideal_words(gens, limit)
         if words is not None:
             return gens, words
+
+
+def test_f1_bounds_the_code_size():
+    # Each Hensel factor g of x^n - 1 outside f1 gives the code a whole
+    # component R[x]/(g) of 16^deg g words, so a code holds at least
+    # 16^(n - deg f1) words: _small_instance skips a draw by this bound
+    # before the oracle builds any word.  Every code of the n=3 lattice
+    # with constant f14, then seeded draws under the cap.
+    codes = [(gens, enumerate_code(gens)) for gens in _exhaustive_instances(3, 0)]
+    for n in (5, 7, 9):
+        codes += _sampled_codes(n, 2, n, 10, 1 << 14)
+    bounds = [(16 ** (gens.n - gens.f1.degree), len(code)) for gens, code in codes]
+    assert all(bound <= size for bound, size in bounds)
+    assert any(bound == size for bound, size in bounds)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

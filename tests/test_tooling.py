@@ -88,6 +88,16 @@ def test_only_cyclic_imports_dense():
     assert found == []
 
 
+def test_no_package_module_imports_dataclasses():
+    # The tuple and report types are NamedTuples: a frozen dataclass costs
+    # about a millisecond to create at import, and its instances several
+    # times a NamedTuple's to build.
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, module in _imported_modules(ast.parse(path.read_text(), str(path)))
+             if module.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def _test_trees():
     return {path.name: ast.parse(path.read_text(), str(path))
             for path in sorted(TESTS.glob("*.py"))}

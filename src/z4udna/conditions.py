@@ -196,12 +196,9 @@ def check_rc_double(gens: GeneratorSet) -> ConditionReport:
 # Cross-validation against the enumerated code
 # ---------------------------------------------------------------------------
 
-_FIELDS = ("n", "f1", "f2", "f14", "f3", "f4")
-
-
 def _field_texts(gens: GeneratorSet) -> list[str]:
-    """The ``_FIELDS`` of a tuple as text, "-" for an absent f3/f4."""
-    return ["-" if v is None else str(v) for v in (getattr(gens, k) for k in _FIELDS)]
+    """The fields of a tuple as text, "-" for an absent f3/f4."""
+    return ["-" if v is None else str(v) for v in gens]
 
 
 def _erratum_name(gens: GeneratorSet, prop: str) -> str:
@@ -324,7 +321,7 @@ def format_sweep_report(reports: list[CrossValReport]) -> str:
     lines = []
     agreements = 0
     for r in reports:
-        line = (" ".join(f"{k}={v}" for k, v in zip(_FIELDS, _field_texts(r.gens)))
+        line = (" ".join(f"{k}={v}" for k, v in zip(GeneratorSet._fields, _field_texts(r.gens)))
                 + f" property={r.property} predicted={str(r.predicted).lower()} "
                 f"observed={str(r.observed).lower()} agree={str(r.agree).lower()}")
         if r.erratum:

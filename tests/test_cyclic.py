@@ -37,7 +37,7 @@ from z4udna.cyclic import (
 )
 from z4udna.errors import CapExceeded, InvalidGenerators, LengthMismatch, TrivialCode
 from z4udna.poly import Poly, divides, divisor_lattice, factor_xn_minus_1_z4, poly_divmod
-from z4udna.ring import ADD, ALL_ELEMENTS, GRAY, RingElem
+from z4udna.ring import ALL_ELEMENTS, GRAY, RingElem
 
 R = RingElem
 G2_3 = Poly.parse("1,1,1")
@@ -276,7 +276,7 @@ def test_span_closure_rejects_a_merge_that_is_not_one_whole_coset(monkeypatch):
 
 
 def test_cap_bounds_memory_of_wide_rows():
-    # n = 21 packs words into two-word np.void keys; one translate is merged
+    # n = 21 packs words into three-word np.void keys; one translate is merged
     # at a time and the cap is decided before each merge, so no set larger
     # than the cap is built, let alone all 16 translates of it
     x_minus_1 = Poly.parse("3,1")
@@ -418,8 +418,8 @@ def test_export_is_deterministic():
 
 
 def test_enumerate_length21_uses_wide_rows():
-    # n = 21 symbols exceeds the 16 symbols of one 64-bit key word, so the
-    # words are two-word np.void keys end to end
+    # n = 21 symbols exceeds the 8 symbols of one 64-bit key word, so the
+    # closure runs on three-word np.void keys end to end
     ones = Poly([1] * 21)
     assert poly_divmod(xn_minus_1(21), Poly.parse("3,1")) == (ones, Poly())
     gens = GeneratorSet(21, ones, ones)
@@ -434,7 +434,7 @@ def test_enumerate_length21_uses_wide_rows():
 
 
 def test_enumerate_length73_constant_code():
-    # 73 symbols make a key of five 64-bit words
+    # 73 symbols make a key of ten 64-bit words
     ones = Poly([1] * 73)
     assert poly_divmod(xn_minus_1(73), Poly.parse("3,1")) == (ones, Poly())
     code = enumerate_code(GeneratorSet(73, ones, ones))
@@ -445,9 +445,10 @@ def test_enumerate_length73_constant_code():
     assert code.min_hamming_distance() == 73
 
 
-@pytest.mark.parametrize("n", [33, 63])
+@pytest.mark.parametrize("n", [9, 33, 63])
 def test_enumerate_multiword_keys_matches_the_multiples_of_g(n):
-    # 33 symbols are the first length whose key takes three 64-bit words.
+    # 9 symbols are the first length whose key takes two 64-bit words, 33
+    # take five and 63 take eight.
     # g = (x^n - 1)/(x^2 + x + 1) generates the ideal of the multiples
     # m*g with deg m <= 1, 256 words, built here from Poly products
     g = Poly.parse(",".join(["3,1,0"] * (n // 3 - 1) + ["3,1"]))
@@ -487,9 +488,9 @@ def test_membership_matches_the_ideal_oracle(n, seed, data):
 # Symbol-row kernels against RingElem reference code
 # ---------------------------------------------------------------------------
 
-# both sides of the one-, two- and three-word key boundaries of _dense
-# (16/17 and 32/33 symbols)
-LENGTHS = (1, 3, 15, 16, 17, 21, 32, 33)
+# both sides of the one-, two-, three- and four-word key boundaries of
+# _dense (8/9, 16/17 and 24/25 symbols)
+LENGTHS = (1, 3, 8, 9, 16, 17, 21, 24, 25, 33)
 
 elements = st.builds(RingElem, st.integers(0, 3), st.integers(0, 3))
 
@@ -539,7 +540,7 @@ def rc_rows(rows):
 
 @settings(max_examples=80, deadline=None)
 @given(word_lists())
-def test_canonical_sorts_by_symbol_pairs(case):
+def test_sorted_keys_unpack_to_the_words_in_canonical_order(case):
     n, words = case
     assert _words(_dense._unpack(np.unique(_dense._pack(_rows(words))), n)) == _sorted_set(words)
 
@@ -560,27 +561,12 @@ def test_row_maps_match_word_maps(case, shift):
 
 @settings(max_examples=80, deadline=None)
 @given(word_lists(max_words=1))
-def test_scalar_orbit_is_every_multiple(case):
+def test_span_of_one_vector_is_its_sixteen_multiples(case):
     # the span of one vector v is its orbit Rv under the 16 ring scalars
     n, (w,) = case
     multiples = [tuple(r * c for c in w) for r in ALL_ELEMENTS]
     rows = _dense.span_closure([word_to_row(w)], 16)
     assert _words(rows) == _sorted_set(multiples)
-
-
-@settings(max_examples=80, deadline=None)
-@given(word_lists(), st.data())
-def test_translates_are_symbolwise_sums(case, data):
-    n, words = case
-    deltas = data.draw(st.lists(st.lists(elements, min_size=n, max_size=n).map(tuple),
-                                min_size=1, max_size=4))
-    expected = _sorted_set(tuple(x + y for x, y in zip(w, d))
-                           for w in words for d in deltas)
-    keys = np.unique(_dense._pack(_rows(words)))
-    d_low, d_high = _dense._lanes(_dense._pack(_rows(deltas)))
-    translates = [_dense._add_keys(_dense._lanes(keys), d, keys.dtype)
-                  for d in zip(d_low, d_high)]
-    assert _words(_dense._unpack(np.unique(np.concatenate(translates)), n)) == expected
 
 
 def _small_instance(n, limit, rng):
@@ -735,9 +721,9 @@ def test_no_odd_length_word_is_its_own_reverse_complement(data):
 # The rows of a Code: binary-search lookup and shift closure, at every width
 # ---------------------------------------------------------------------------
 
-# both sides of the one-, two- and three-word key boundaries of _dense,
-# and past 64
-ROW_WIDTHS = (1, 2, 3, 15, 16, 17, 21, 32, 33, 63, 80)
+# both sides of the one-, two-, three- and four-word key boundaries of
+# _dense, and past 64
+ROW_WIDTHS = (1, 2, 3, 8, 9, 16, 17, 21, 24, 25, 63, 80)
 
 
 @st.composite
@@ -780,43 +766,40 @@ def test_shift_closure_agrees_with_set_comparison(rows):
 
 
 # ---------------------------------------------------------------------------
-# Packed-key kernels of _dense against row arithmetic, at every key width
+# Keys of _dense against their rows, at every key width
 # ---------------------------------------------------------------------------
 
-_ADD16 = np.frombuffer(ADD, dtype=np.uint8).reshape(16, 16)
-
-# across every 64-bit word boundary of a key (16/17, 32/33, 48/49 and
+# both sides of every 64-bit word boundary of a key (8/9, 16/17, ...,
 # 64/65 symbols) and past it
-WIDE = st.integers(1, 80)
+KEY_WIDTHS = tuple(w for k in range(8, 72, 8) for w in (k, k + 1)) + (80,)
 
 
 @st.composite
-def rows_and_delta(draw, max_rows=12):
-    width = draw(WIDE)
+def key_rows(draw, max_rows=12):
+    width = draw(st.sampled_from(KEY_WIDTHS))
     cells = st.lists(st.integers(0, 15), min_size=width, max_size=width)
-    rows = draw(st.lists(cells, min_size=1, max_size=max_rows))
-    return np.array(rows, dtype=np.uint8), np.array(draw(cells), dtype=np.uint8)
+    return np.array(draw(st.lists(cells, min_size=1, max_size=max_rows)), dtype=np.uint8)
+
+
+def _all_15_examples(test):
+    """``test`` with one example at each key width: an all-15 row, which
+    sets every bit of its symbols' bytes, and below it the row that ends
+    in 14 instead."""
+    for width in KEY_WIDTHS:
+        rows = np.full((2, width), 15, dtype=np.uint8)
+        rows[1, -1] = 14
+        test = example(rows)(test)
+    return test
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows_and_delta())
-@example((np.full((1, 16), 15, dtype=np.uint8), np.full(16, 15, dtype=np.uint8)))
-@example((np.full((1, 17), 15, dtype=np.uint8), np.full(17, 15, dtype=np.uint8)))
-@example((np.full((1, 32), 15, dtype=np.uint8), np.full(32, 15, dtype=np.uint8)))
-@example((np.full((1, 33), 15, dtype=np.uint8), np.full(33, 15, dtype=np.uint8)))
-@example((np.full((1, 48), 15, dtype=np.uint8), np.full(48, 15, dtype=np.uint8)))
-@example((np.full((1, 49), 15, dtype=np.uint8), np.full(49, 15, dtype=np.uint8)))
-@example((np.full((1, 64), 15, dtype=np.uint8), np.full(64, 15, dtype=np.uint8)))
-@example((np.full((1, 65), 15, dtype=np.uint8), np.full(65, 15, dtype=np.uint8)))
-@example((np.full((1, 80), 15, dtype=np.uint8), np.full(80, 15, dtype=np.uint8)))
-def test_key_addition_is_symbolwise_ring_addition(case):
-    # all-15 words set every bit of their keys, so every lane mask bit counts
-    rows, d = case
+@given(key_rows())
+@_all_15_examples
+def test_keys_round_trip_and_sort_as_their_rows(rows):
+    width = rows.shape[1]
     keys = _dense._pack(rows)
-    d_lanes = _dense._lanes(_dense._pack(d.reshape(1, -1)))
-    keys = _dense._add_keys(_dense._lanes(keys), d_lanes, keys.dtype)
-    assert np.array_equal(keys, _dense._pack(_ADD16[rows, d]))
-    assert np.array_equal(_dense._unpack(keys, d.size), _ADD16[rows, d])
+    assert np.array_equal(_dense._unpack(keys, width), rows)
+    assert np.array_equal(_dense._unpack(np.sort(keys), width), rows[np.lexsort(rows.T[::-1])])
 
 
 @settings(max_examples=15, deadline=None)
@@ -833,38 +816,38 @@ def test_key_span_closure_matches_oracle_on_shuffled_vectors(n, seed):
     # S + Rv is |S + Rv| / |S| cosets of S, and S is already there: a
     # multiple whose coset the union holds is not merged
     merged = []
-    add_keys = _dense._add_keys
+    union1d = np.union1d
 
-    def counted(lanes, d, dtype):
-        merged.append(d)
-        return add_keys(lanes, d, dtype)
+    def counted(acc, translate):
+        merged.append(translate.size)
+        return union1d(acc, translate)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_dense, "_add_keys", counted)
+        patch.setattr(np, "union1d", counted)
         rows = _dense.span_closure(vectors, len(expected))
     assert _words(rows) == expected
     assert len(merged) == sum(after // before - 1 for before, after in zip(sizes, sizes[1:]))
     if len(expected) > 1:
         # the cap fires before the merge that would first pass it, the last
-        # one, so that coset is never translated
+        # one, so that coset is never merged
         full = len(merged)
         merged.clear()
         with pytest.MonkeyPatch.context() as patch, pytest.raises(CapExceeded):
-            patch.setattr(_dense, "_add_keys", counted)
+            patch.setattr(np, "union1d", counted)
             _dense.span_closure(vectors, len(expected) - 1)
         assert len(merged) == full - 1
 
 
 def test_span_closure_skips_vectors_already_in_the_span(monkeypatch):
-    # R*v adds nothing when v is in the span, so the set is not translated
+    # R*v adds nothing when v is in the span, so no coset is merged for it
     calls = []
-    add_keys = _dense._add_keys
+    union1d = np.union1d
 
-    def counted(lanes, d, dtype):
-        calls.append(d)
-        return add_keys(lanes, d, dtype)
+    def counted(acc, translate):
+        calls.append(translate.size)
+        return union1d(acc, translate)
 
-    monkeypatch.setattr(_dense, "_add_keys", counted)
+    monkeypatch.setattr(np, "union1d", counted)
     v = word_to_row(words_of([1, 2, 3, 0, 5]))
     _dense.span_closure([v], 1 << 20)
     alone = len(calls)

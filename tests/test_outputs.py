@@ -35,6 +35,12 @@ DEMO_DIGESTS = {
 
 ONES_21 = Poly([1] * 21)
 
+
+def _x2_x_1_cofactor(n):
+    """(x^n - 1)/(x^2 + x + 1), which generates a 256-word code at n = 3k."""
+    return Poly.parse(",".join(["3,1,0"] * (n // 3 - 1) + ["3,1"]))
+
+
 # name: (generators, size, {export format or "codebook": digest})
 CODES = {
     "n3": (GeneratorSet(3, Poly.parse("1,1,1"), Poly.parse("1,1,1")), 16, {
@@ -56,6 +62,19 @@ CODES = {
         "dna": "a51d00bfb51ed4bf0422264587ee1b4a4a16be3ef6ea648e07b8bc6b5df8c7a4",
         "gray": "8e838c6fc1444c995ce263315ef410b856d4f1f5f558c484a8aaa0c24429e80d",
         "codebook": "d8fc6dd7eaff93d6c7b4b51bbfc903a23d0412917ae119bb1277809b5c1940ec",
+    }),
+    # 9 and 15 symbols take a two-word _dense key, one word below 9
+    "n9": (GeneratorSet(9, _x2_x_1_cofactor(9), _x2_x_1_cofactor(9)), 256, {
+        "ring": "c05100f693fa875ee8759205a9f5af897175a51c24432685f8e5e951d2cf5c64",
+        "dna": "15a011c0d79cb5510708ba9a8c35492f877e812bc510d8136ada61ba31e7192c",
+        "gray": "377623184e41dd5e1e5bcdd77970f027dd1695d5afbc6ce52fb6f925b1d69d2e",
+        "codebook": "42fe4230095f6e2a80b7f45ec22fc67c5d5cf7bdf1fcde3d66ce610db49026bb",
+    }),
+    "n15": (GeneratorSet(15, _x2_x_1_cofactor(15), _x2_x_1_cofactor(15)), 256, {
+        "ring": "0dfbebdcb41167259ea0cc3cd5364beb5bd3a54a40282e79f0e86b4c092c46b4",
+        "dna": "1ad7c1944122e9c7e2a74b8ee40a4e33bab378594630b3d98eb1e48840bf8ab3",
+        "gray": "c51d35a3cb3d388fc2df8eaacd7b7c6d4d3a871527d789a84f8f7a5e5f4fbd0d",
+        "codebook": "106fa57d19aa30e41d91d0a79c49a4cee0ced683536c04ccb1db7968bf6f276e",
     }),
     "n21": (GeneratorSet(21, ONES_21, ONES_21), 16, {
         "ring": "8681d908b00a9354ad7d5a810c530cc09f48c0a355cb54d27ec38bdaf43def27",

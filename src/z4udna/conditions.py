@@ -6,22 +6,22 @@ Four named condition sets are evaluated on a generator tuple:
   predicted reversible when (a) f1 (and f3) are self-reciprocal, (b)(i)
   x^i*f2* = f2, and (b)(ii) the f14 clause holds, where
   i = deg f1 - deg f2 and j = deg f1 - deg f14.  One body, ``_check``,
-  computes every clause for both forms, in report order; ``_FORMS`` holds
-  what differs by form (the clause (a) list and the texts), and only the
-  (b)(ii) branch differs in logic.  The (b) clauses run on symbol strings
-  through ``poly``'s kernels and build no ``Poly``, the (b)(i) note too.
-  (b)(ii) asks whether f2 (T31) or f4 (T32) divides 2h, h = x^j*f14* + f14,
-  or 2(h + f2), and is decided on F2 parity masks by
-  ``poly._divides_twice``: for a divisor g with a unit lead,
-  2h mod g = 2(h mod g), and a monic divisor of x^n - 1 has no u part, so
-  g | 2(A + uB) iff g mod 2 divides A mod 2 and B mod 2 over F2.  The
-  clause reads h and h + f2 only through their parities, which add by
+  computes T31-T42, every clause for both forms, in report order;
+  ``_FORMS`` holds what differs by form (the theorem names, the clause (a)
+  list and the texts), and only the (b)(ii) branch differs in logic.  The
+  (b) clauses run on symbol strings through ``poly``'s kernels and build
+  no ``Poly``, the (b)(i) note too.  (b)(ii) asks whether f2 (T31) or f4
+  (T32) divides 2h, h = x^j*f14* + f14, or 2(h + f2), and is decided on F2
+  parity masks by ``poly._divides_twice``: for a divisor g with a unit
+  lead, 2h mod g = 2(h mod g), and a monic divisor of x^n - 1 has no u
+  part, so g | 2(A + uB) iff g mod 2 divides A mod 2 and B mod 2 over F2.
+  The clause reads h and h + f2 only through their parities, which add by
   XOR: it takes the masks of x^j*f14*, f14 and f2 and builds no sum.
 * ``T41`` / ``T42``: T31 / T32 plus membership of the word with every
-  symbol 3+3u, which is the reverse-complement of the zero word, added by
-  ``_with_membership``.  Membership is decided from f1(1) being a unit,
-  without enumerating the code, so no condition check has a cap or can
-  exceed one.
+  symbol 3+3u, which is the reverse-complement of the zero word; ``_check``
+  adds it as the last clause.  Membership is decided from f1(1) being a
+  unit, without enumerating the code, so no condition check has a cap or
+  can exceed one.
 
 Equalities are tested literally after reduction mod x^n - 1; when a
 condition fails literally but holds up to a unit factor, that is recorded
@@ -65,11 +65,12 @@ PROPERTIES = ("reversible", "rc_closed")
 # Symbol indices of the units other than 1, in canonical element order.
 _UNITS_BUT_ONE = bytes(m.index for m in UNITS[1:])  # UNITS[0] is 1
 
-# T31 and T32: the theorem, the polynomials clause (a) requires to be
-# self-reciprocal, the WrongForm message and the (b)(ii) failure.
-_FORMS = (("T31", ("f1",), "single-generator checker given a double-generator tuple",
+# Single and double form: the theorems (reversibility, reverse-complement),
+# the polynomials clause (a) requires to be self-reciprocal, the WrongForm
+# message and the (b)(ii) failure.
+_FORMS = ((("T31", "T41"), ("f1",), "single-generator checker given a double-generator tuple",
            "(b)(ii) x^j*f14* != f14 and f2 does not divide 2x^j*f14* + 2f14"),
-          ("T32", ("f1", "f3"), "double-generator checker needs f3 and f4",
+          (("T32", "T42"), ("f1", "f3"), "double-generator checker needs f3 and f4",
            "(b)(ii) f4 divides neither 2x^j*f14* + 2f14 nor that plus 2f2"))
 
 
@@ -100,9 +101,10 @@ class CrossValReport(NamedTuple):
     erratum: Optional[str] = None
 
 
-def _check(gens: GeneratorSet, double: bool) -> ConditionReport:
-    """T32 if ``double`` else T31, clause by clause in report order."""
-    theorem, names, wrong_form, b2_failure = _FORMS[double]
+def _check(gens: GeneratorSet, double: bool, rc: bool) -> ConditionReport:
+    """T32 if ``double`` else T31, or T42/T41 if ``rc``, clause by clause
+    in report order."""
+    theorems, names, wrong_form, b2_failure = _FORMS[double]
     # the double form needs both f3 and f4, the single form neither
     if (gens.f3 is None) == double or (gens.f4 is None) == double:
         raise WrongForm(wrong_form)
@@ -150,46 +152,37 @@ def _check(gens: GeneratorSet, double: bool) -> ConditionReport:
         branch = "divisibility"
     if branch is None:
         failures.append(b2_failure)
-    return ConditionReport(theorem, not failures, i, j, branch,
+    # T41/T42 add "the all-(3+3u) word is in the code", decided from f1(1).
+    # For odd n, x - 1 and theta = (x^n - 1)/(x - 1) are coprime (theta(1)
+    # = n is a unit), so R[x]/(x^n - 1) = R x R[x]/(theta).  The word is
+    # (3+3u)*theta, which maps to (a unit, 0); it lies in the code iff the
+    # generators evaluated at 1 span R.  R is local, u*f3 + 2u*f4 is in uR
+    # at 1, and 2f2(1) + 2u*f14(1) is not a unit, so that holds iff f1(1) is
+    # a unit: iff the Z4 parts a = s >> 2 of f1's coefficients have an odd sum.
+    if rc and not sum(s >> 2 for s in f1) & 1:
+        failures.append("membership: the all-(3+3u) word is not in the code")
+    return ConditionReport(theorems[rc], not failures, i, j, branch,
                            tuple(failures), tuple(notes))
 
 
 def check_reversible_single(gens: GeneratorSet) -> ConditionReport:
     """Condition set T31 for a single-generator code."""
-    return _check(gens, False)
+    return _check(gens, False, False)
 
 
 def check_reversible_double(gens: GeneratorSet) -> ConditionReport:
     """Condition set T32 for a double-generator code."""
-    return _check(gens, True)
-
-
-def _with_membership(report: ConditionReport, theorem: str,
-                     gens: GeneratorSet) -> ConditionReport:
-    """Add the clause "the all-(3+3u) word is in the code", decided from f1(1).
-
-    For odd n, x - 1 and theta = (x^n - 1)/(x - 1) are coprime (theta(1) = n
-    is a unit), so R[x]/(x^n - 1) = R x R[x]/(theta).  The word is
-    (3+3u)*theta, which maps to (a unit, 0); it lies in the code iff the
-    generators evaluated at 1 span R.  R is local, u*f3 + 2u*f4 is in uR at
-    1, and 2f2(1) + 2u*f14(1) is not a unit, so that holds iff f1(1) is a
-    unit: iff the Z4 parts a = s >> 2 of f1's coefficients have an odd sum.
-    """
-    failures = list(report.failures)
-    if not sum(s >> 2 for s in gens.f1.symbols) & 1:
-        failures.append("membership: the all-(3+3u) word is not in the code")
-    return ConditionReport(theorem, not failures, report.i_shift, report.j_shift,
-                           report.branch, tuple(failures), report.notes)
+    return _check(gens, True, False)
 
 
 def check_rc_single(gens: GeneratorSet) -> ConditionReport:
     """Condition set T41: T31 plus membership of the all-(3+3u) word."""
-    return _with_membership(check_reversible_single(gens), "T41", gens)
+    return _check(gens, False, True)
 
 
 def check_rc_double(gens: GeneratorSet) -> ConditionReport:
     """Condition set T42: T32 plus membership of the all-(3+3u) word."""
-    return _with_membership(check_reversible_double(gens), "T42", gens)
+    return _check(gens, True, True)
 
 
 # ---------------------------------------------------------------------------

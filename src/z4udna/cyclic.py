@@ -160,8 +160,6 @@ class Code:
         return bool(i < rows.size and rows[i] == key)
 
     # -- closure predicates -------------------------------------------------
-    # The public predicates are traced, so each reaches its lookups through
-    # the private helpers below, never through another public predicate.
 
     def is_shift_closed(self) -> bool:
         # a roll permutes words, so the set is closed under it iff the
@@ -174,30 +172,21 @@ class Code:
         return np.array_equal(np.concatenate((by_last[:, -1:], by_last[:, :-1]), axis=1), rows)
 
     def is_reversible(self) -> bool:
-        return self._reversible()
+        return all(self._has_row(_poly_row(g, self.n)[::-1]) for g in self.generators)
 
     def is_complement_closed(self) -> bool:
-        return self._complement_closed()
+        return self._has_row(np.full(self.n, 5, dtype=np.uint8))  # all 1+u
 
     def is_rc_closed(self) -> bool:
-        return self._rc_closed()
+        # rc(w) = c - reverse(w), and c is its own reverse
+        return self.is_complement_closed() and self.is_reversible()
 
     def is_dna_code(self) -> bool:
         """Closed under reverse-complement, with no word equal to its own
         reverse-complement: exactly ``is_rc_closed``, since n is odd.  The
         middle symbol x of such a word would have (1+u) - x = x, that is
         2x = 1+u, and 2x has an even Z4 part."""
-        return self._rc_closed()
-
-    def _reversible(self) -> bool:
-        return all(self._has_row(_poly_row(g, self.n)[::-1]) for g in self.generators)
-
-    def _complement_closed(self) -> bool:
-        return self._has_row(np.full(self.n, 5, dtype=np.uint8))  # all 1+u
-
-    def _rc_closed(self) -> bool:
-        # rc(w) = c - reverse(w), and c is its own reverse
-        return self._complement_closed() and self._reversible()
+        return self.is_rc_closed()
 
     # -- distances ------------------------------------------------------------
 

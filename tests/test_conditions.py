@@ -83,21 +83,29 @@ def test_wrong_form_errors():
                 checker(gens)
 
 
-def test_predict_and_rc_checks_reach_the_public_t31_t32(monkeypatch):
-    # perfbench times T31/T32 at these two module attributes, so predict
-    # and T41/T42 must look them up there rather than call a private core
+def test_predict_reaches_one_public_checker_and_t41_t42_skip_t31_t32(monkeypatch):
+    # predict looks each checker up at its module attribute and calls the
+    # one for its property and form; T41/T42 run the shared body themselves
+    # and call neither T31 nor T32.
+    names = ("check_reversible_single", "check_reversible_double",
+             "check_rc_single", "check_rc_double")
     calls = Counter()
-    for name in ("check_reversible_single", "check_reversible_double"):
+    for name in names:
         def counted(gens, name=name, original=getattr(conditions, name)):
             calls[name] += 1
             return original(gens)
         monkeypatch.setattr(conditions, name, counted)
     check_rc_single(EX_61I)
     check_rc_double(EX_61II)
-    for prop in PROPERTIES:
-        predict(EX_61I, prop)
-        predict(EX_61II, prop)
-    assert calls == {"check_reversible_single": 3, "check_reversible_double": 3}
+    assert not calls
+    expected = {("reversible", EX_61I): "check_reversible_single",
+                ("reversible", EX_61II): "check_reversible_double",
+                ("rc_closed", EX_61I): "check_rc_single",
+                ("rc_closed", EX_61II): "check_rc_double"}
+    for (prop, gens), name in expected.items():
+        calls.clear()
+        predict(gens, prop)
+        assert calls == {name: 1}
 
 
 def test_rc_checkers_add_membership():

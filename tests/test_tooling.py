@@ -35,19 +35,34 @@ def _calls_of(tree, name):
             and isinstance(node.func, ast.Name) and node.func.id == name]
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _definition(tree, kind, name):
+    (node,) = [node for node in ast.walk(tree) if isinstance(node, kind) and node.name == name]
+    return node
+
+
 def test_only_enumerate_code_builds_a_code():
     # Every Code is an ideal, so its minimum nonzero weight is its minimum
     # distance: the package calls Code once, in enumerate_code, and no
     # classmethod of Code calls cls.
-    trees = {path.name: ast.parse(path.read_text(), str(path))
-             for path in sorted((ROOT / "src" / "z4udna").glob("*.py"))}
-    (code_class,) = [node for node in ast.walk(trees["cyclic.py"])
-                     if isinstance(node, ast.ClassDef) and node.name == "Code"]
-    (builder,) = [node for node in ast.walk(trees["cyclic.py"])
-                  if isinstance(node, ast.FunctionDef) and node.name == "enumerate_code"]
+    trees = _package_trees()
+    builder = _definition(trees["cyclic.py"], ast.FunctionDef, "enumerate_code")
     calls = [call for tree in trees.values() for call in _calls_of(tree, "Code")]
-    calls += _calls_of(code_class, "cls")
+    calls += _calls_of(_definition(trees["cyclic.py"], ast.ClassDef, "Code"), "cls")
     assert len(calls) == 1 and calls[0] in list(ast.walk(builder))
+
+
+def test_only_check_builds_a_condition_report():
+    # T31-T42 share one body: the package calls ConditionReport once, in
+    # conditions._check, and no checker copies a report to extend it.
+    trees = _package_trees()
+    body = _definition(trees["conditions.py"], ast.FunctionDef, "_check")
+    calls = [call for tree in trees.values() for call in _calls_of(tree, "ConditionReport")]
+    assert len(calls) == 1 and calls[0] in list(ast.walk(body))
 
 
 def _named_outside_poly(name):

@@ -9,11 +9,12 @@ x^n - 1 work: ``_fold`` reduces mod x^n - 1 for ``poly_mod_xn``, and
 ``_remainder`` returns only a remainder's symbols.  ``poly_divmod`` hands
 it a quotient buffer.  ``_divides`` has two callers, ``divides`` and the
 chain tests of ``cyclic.validate`` (on the symbols of ``_xn_minus_1``);
-it answers a unit-constant divisor without dividing and otherwise tests
-the remainder for zero.  Clause (b)(ii) of the T31-T42 conditions of
-``conditions`` only asks whether a monic divisor of x^n - 1, which has no
-u part, divides an even dividend 2h; ``_divides_twice`` answers that over
-F2 on the ``_parity_mask`` of h, which adds by XOR, and divides nothing
+it answers a unit-constant divisor, and a unit-lead divisor equal to the
+dividend, without dividing and otherwise tests the remainder for zero.
+Clause (b)(ii) of the T31-T42 conditions of ``conditions`` only asks
+whether a monic divisor of x^n - 1, which has no u part, divides an even
+dividend 2h; ``_divides_twice`` answers that over F2 on the
+``_parity_mask`` of h, which adds by XOR, and divides nothing
 over R.  ``_constant_factor`` solves t = m*s for a constant m, for clause
 (a) (t = f*) and the (b)(i) note; a unit-lead s leaves one candidate m.
 Reducing x^n - 1 by a lattice divisor takes about 9 us at n = 7 and 11,
@@ -257,11 +258,13 @@ def divides(g: Poly, f: Poly, n: int) -> bool:
 def _divides(g: bytes, f: bytes) -> bool:
     """Whether g | f, for canonical symbol strings of any length, reduced
     mod x^n - 1 or not (``cyclic.validate`` passes x^n - 1 itself): a zero
-    g divides only a zero f, a unit constant g divides every f without a
-    division, and any other g divides f when it leaves a zero remainder."""
+    g divides only a zero f; a unit-lead g divides f without a division
+    when it is a constant or equal to f, whose one division step would
+    leave zero; any other g divides f when it leaves a zero remainder, and
+    a non-unit lead raises from ``_remainder``, g = f included."""
     if not g:
         return not f
-    if len(g) == 1 and INV[g[0]]:
+    if INV[g[-1]] and (len(g) == 1 or g == f):
         return True
     return not _remainder(f, g).rstrip(b"\0")
 

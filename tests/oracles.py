@@ -88,6 +88,22 @@ def word_from_poly(f, n):
     return tuple(word)
 
 
+def size_lower_bound(gens):
+    """Checks ``enumerate_code`` from below: 16^(n - deg g_a) words when
+    g_a, the first generator from ``generator_polys``, has a unit lead,
+    and 1 otherwise.
+
+    A polynomial with a unit coefficient is not a zero divisor in R[x]
+    (McCoy), so the products m*g_a of the 16^(n - deg g_a) polynomials m of
+    degree < n - deg g_a are distinct; each has degree < n, so it is its
+    own reduced word of the code.
+    """
+    cs = coeffs(generator_polys(gens)[0])
+    if cs and cs[-1].is_unit():
+        return 16 ** (gens.n - len(cs) + 1)
+    return 1
+
+
 def ideal_words(gens, limit=1 << 12):
     """Checks ``enumerate_code``: the ideal as the set of all
     m_a*g_a + m_b*g_b, or None once it is seen to hold more than ``limit``

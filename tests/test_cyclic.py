@@ -19,6 +19,7 @@ from oracles import (
     ref_divmod,
     reverse_complement,
     reverse_word,
+    size_lower_bound,
     word_from_poly,
     words,
     xn_minus_1,
@@ -188,6 +189,18 @@ def test_validate_lists_every_problem_in_order(fields, problems):
     assert validate(GeneratorSet(3, f1, f2, f14, f3, f4)) == problems
 
 
+@pytest.mark.parametrize("f, problems", [
+    ("1,2", ["f2 must be monic", "f1 must be monic"]),
+    ("1,1", ["f1 does not divide x^7-1"]),
+    ("3,0,0,0,0,0,0,1", []),
+])
+def test_validate_lists_the_problems_of_an_equal_pair_in_order(f, problems):
+    """f1 = f2 at n = 7: a monic f2 divides f1 without a division, but the
+    monic tests and the division of x^7 - 1 by f1 are still made."""
+    f = Poly.parse(f)
+    assert validate(GeneratorSet(7, f, f)) == problems
+
+
 def test_generator_polys():
     g_a, g_b = generator_polys(EX_61I)
     assert g_a == Poly.parse("3,3,3")
@@ -266,6 +279,28 @@ def test_no_merge_builds_a_set_past_the_cap(monkeypatch):
     assert merges
     assert all(union == size + coset for size, coset, union in merges)
     assert max(union for _, _, union in merges) <= cap
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_code_size_meets_the_unit_lead_lower_bound(n):
+    """200 seeded lattice draws: every code enumerated under the cap holds
+    at least ``size_lower_bound`` words, and every draw whose bound exceeds
+    the cap raises CapExceeded; at each n both cases occur."""
+    cap = 1 << 10
+    rng = random.Random(n)
+    lattice = divisor_lattice(n)
+    enumerated = certified = 0
+    for _ in range(200):
+        gens = _random_instance(n, 2, lattice, rng)
+        bound = size_lower_bound(gens)
+        try:
+            code = enumerate_code(gens, cap)
+        except CapExceeded:
+            certified += bound > cap
+            continue
+        assert len(code) >= bound, gens
+        enumerated += 1
+    assert enumerated and certified
 
 
 def test_span_closure_rejects_a_merge_that_is_not_one_whole_coset(monkeypatch):

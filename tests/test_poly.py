@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import coeffs, xn_minus_1
+from z4udna import poly
 from z4udna.errors import (
     NonUnitLeadingCoefficient,
     NotAFactor,
@@ -105,6 +106,23 @@ def test_divides():
     # divisor congruent to zero divides only the zero residue
     assert divides(xn_minus_1(3), xn_minus_1(3), 3)
     assert not divides(xn_minus_1(3), Poly([1]), 3)
+
+
+def test_divides_a_unit_lead_dividend_by_itself_without_dividing(monkeypatch):
+    """f | f for every monic divisor f of x^7 - 1, x^7 - 1 included, and
+    zero | zero never reach the division kernel; with it, a non-unit lead
+    equal to the dividend (u + 2x) still raises."""
+    def no_division(f, g, q=None):
+        raise AssertionError(f"divided {f!r} by {g!r}")
+
+    lattice = divisor_lattice(7)
+    assert lattice[-1] == xn_minus_1(7)
+    with monkeypatch.context() as patched:
+        patched.setattr(poly, "_remainder", no_division)
+        assert all(_divides(f.symbols, f.symbols) is True for f in lattice)
+        assert _divides(b"", b"") is True
+    with pytest.raises(NonUnitLeadingCoefficient):
+        _divides(b"\x01\x08", b"\x01\x08")
 
 
 @functools.cache

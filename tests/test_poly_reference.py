@@ -7,7 +7,7 @@ first, with the ring's own operators and nothing from ``z4udna.poly``.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     coeffs,
@@ -143,9 +143,25 @@ def test_divmod(f, g):
     assert divmod_outcome(f, g) == outcome(ref_divmod, f, g)
 
 
+def same(text, n):
+    """An explicit ``test_divides`` example with g = f = ``Poly.parse(text)``."""
+    cs = list(coeffs(Poly.parse(text)))
+    return example(cs, cs, n)
+
+
+# g = f with unit leads (x - 1 and a cubic divisor of x^7 - 1, a lead of
+# 1 + u, x^7 - 1 itself, which is zero mod x^7 - 1, and a degree-4 g at
+# n = 3, which reduces first) and with non-unit leads (u + 2x, 1 + x + ux^2).
 @settings(deadline=None)
 @given(st.one_of(unit_lc_lists, coeff_lists, long_lists), st.one_of(coeff_lists, long_lists),
        st.one_of(st.integers(1, 6), st.sampled_from((7, 15, 21, 63))))
+@same("3,1", 7)
+@same("3,1,2,1", 7)
+@same("2,0,1+u", 7)
+@same("3,0,0,0,0,0,0,1", 7)
+@same("1,1,1,1,1", 3)
+@same("u,2", 7)
+@same("1,1,u", 7)
 def test_divides(g, f, n):
     assert outcome(divides, Poly(g), Poly(f), n) == outcome(ref_divides, g, f, n)
 
